@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint bench-json serve-smoke
+.PHONY: build test race cover lint bench-json serve-smoke
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,34 @@ test:
 
 race:
 	$(GO) test -race ./internal/concurrent/... ./internal/window/... ./internal/codec/... ./internal/counterbraids/... ./internal/server/... ./internal/distributed/...
+
+# Coverage floors on the packages where a silent gap is most
+# dangerous: the sketch estimators (bit-identical batch paths), the
+# concurrent layer (locks, epochs, snapshot swaps), the sliding-window
+# layer (rotation, expiry, cached views), the wire-format codec
+# (hostile-input validation, checkpoint restore), the Counter Braids
+# structure behind the compressed counter plane (merge carries, state
+# restore ceilings), the serving layer, and the monitoring fabric. The
+# floors sit below current coverage so honest refactors pass while an
+# untested new subsystem fails. CI runs this target.
+COVER_FLOORS = \
+	./internal/sketch:90 \
+	./internal/concurrent:85 \
+	./internal/window:85 \
+	./internal/codec:85 \
+	./internal/counterbraids:90 \
+	./internal/server:85 \
+	./internal/distributed:85
+
+cover:
+	@fail=0; for pf in $(COVER_FLOORS); do \
+		pkg=$${pf%:*}; floor=$${pf##*:}; \
+		pct=$$($(GO) test -cover $$pkg | grep -o 'coverage: [0-9.]*%' | grep -o '[0-9.]*'); \
+		echo "$$pkg coverage: $${pct}% (floor $${floor}%)"; \
+		if ! awk -v p="$$pct" -v f="$$floor" 'BEGIN { exit !(p != "" && p >= f) }'; then \
+			echo "::error::$$pkg coverage $${pct}% fell below the $${floor}% floor"; fail=1; \
+		fi; \
+	done; exit $$fail
 
 # serve-smoke is the end-to-end sketchd drill: build the real binary,
 # boot it on an ephemeral port with a checkpoint directory, ingest and

@@ -1,8 +1,9 @@
 // Package repro_test hosts the top-level benchmark suite: one
 // testing.B benchmark per table/figure of the paper's evaluation (§5),
 // each a scaled-down run of the corresponding internal/bench harness
-// (custom metrics report the headline error ratios), plus the ablation
-// benchmarks called out in DESIGN.md §4. Full-scale figure runs are
+// (custom metrics report the headline error ratios), plus ablation
+// benchmarks for design choices the paper argues in prose rather than
+// measures (see the Ablations block below). Full-scale figure runs are
 // produced by cmd/biasrepro.
 package repro_test
 
@@ -145,7 +146,8 @@ func BenchmarkExtraCounterBraids(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §4)
+// Ablations: hash independence, bias estimator, row width c_s, ℓ1
+// sample count and the Bias-Heap, each against the paper's choice.
 
 // BenchmarkAblationHash compares pairwise against 4-wise bucket
 // hashing inside a minimal Count-Sketch. The paper argues (§4.4) that

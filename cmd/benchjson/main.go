@@ -1,5 +1,5 @@
 // Command benchjson regenerates the checked-in benchmark baseline
-// (BENCH_9.json): it runs the curated ingestion/serving/codec
+// (BENCH_10.json): it runs the curated ingestion/serving/codec
 // benchmarks at the paper's §5.1 shape (s=4096, d=9) with -benchmem
 // and writes the parsed results as stable, machine-readable JSON.
 // Since PR 7 the set includes the counter-plane backend entries
@@ -73,7 +73,7 @@ type Entry struct {
 	CommWordsPerRound float64 `json:"comm_words_per_round,omitempty"`
 }
 
-// Baseline is the BENCH_9.json document.
+// Baseline is the BENCH_10.json document.
 type Baseline struct {
 	Note      string  `json:"note"`
 	Shape     Shape   `json:"shape"`

@@ -8,8 +8,9 @@
 //	biasrepro [-fig N] [-scale F] [-seed S] [-depth D] [-csv] [-v]
 //
 // With -fig 0 (the default) every figure runs in order. -scale
-// multiplies the default (laptop-sized) vector dimensions; see
-// DESIGN.md for the mapping between paper sizes and defaults. Output
+// multiplies the default (laptop-sized) vector dimensions; each
+// figure's doc comment in internal/bench/figures.go gives the paper's
+// size next to the default. Output
 // is an aligned text table per sub-figure, or CSV rows with -csv.
 package main
 

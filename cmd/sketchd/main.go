@@ -54,7 +54,7 @@ func run(addr, dataDir string, ckptEvery time.Duration, maxInflight int, drainTi
 	}
 	fmt.Printf("listening on %s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

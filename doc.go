@@ -126,12 +126,7 @@
 // conservative-update planes reject BackendCompressed with
 // ErrBackendUnsupported). Counter Braids itself is also a first-class
 // registry algorithm ("counterbraids", legend alias "CB") with the
-// same insert-only, decode-at-query contract. BackendTiled is a
-// cache-blocked variant of the dense plane — buckets grouped into
-// 64-wide tiles with all d rows of a tile contiguous, so a point
-// operation touches one tile column instead of d scattered rows —
-// with bit-identical answers; the linear-add table sketches and
-// countsketch support it.
+// same insert-only, decode-at-query contract.
 //
 // # Hash families
 //
@@ -147,11 +142,11 @@
 // over unchanged and the accuracy harness runs under both families —
 // and replaces the Mersenne reduction's hardware division with table
 // lookups plus a multiply-shift range reduction. The ablation in
-// BENCH_10.json quantifies the trade: tabulation runs the headline
-// BenchmarkUpdateBatch/BenchmarkQueryBatch entries 2–5× faster
-// than the pairwise baseline of BENCH_9.json (the batched kernels
-// also got branchless median networks, signs, and min-folds, which
-// the /pairwise sub-entries inherit), at the cost of the
+// BENCH_10.json quantifies the trade: for the table sketches the
+// headline BenchmarkUpdateBatch/BenchmarkQueryBatch entries
+// (tabulation) run 1.15–1.7× faster than their /pairwise sub-entries
+// over the same branchless median, sign, and min-fold kernels, at the
+// cost of the
 // table footprint and estimates that differ numerically (different
 // randomness, same bounds) from the pairwise draw. The family is
 // part of the sketch's identity: checkpoints record it (wire v2 only

@@ -1,9 +1,8 @@
 package repro_test
 
-// Facade-level coverage for the hash-family and tiled-plane surface:
-// WithHashing validation, Hashings listings, cross-configuration
-// equivalences (tiled ≡ dense bit for bit, batch ≡ element-wise under
-// tabulation), and checkpoint round-trips that must carry the family
+// Facade-level coverage for the hash-family surface: WithHashing
+// validation, Hashings listings, the batch ≡ element-wise equivalence
+// under tabulation, and checkpoint round-trips that must carry the family
 // through every container — single sketches, mmap files, Sharded,
 // Windowed, and Monitor.
 
@@ -76,24 +75,6 @@ func TestWithHashingValidation(t *testing.T) {
 	}
 	if h := repro.HashingOf(mustNew(t, "countmin", hfOpts()...)); h != repro.HashPairwise {
 		t.Errorf("HashingOf(default) = %v, want pairwise", h)
-	}
-}
-
-// The tiled plane is a layout change only: every query answer must
-// match the dense plane bit for bit, under both hash families.
-func TestTiledPlaneMatchesDense(t *testing.T) {
-	for _, algo := range []string{"countmin", "countmedian", "countsketch", "dengrafiei"} {
-		for _, h := range repro.Hashings(algo) {
-			dense := mustNew(t, algo, hfOpts(repro.WithHashing(h))...)
-			tiled := mustNew(t, algo, hfOpts(repro.WithHashing(h), repro.WithBackend(repro.BackendTiled))...)
-			fill(dense, 30000, 5)
-			fill(tiled, 30000, 5)
-			for i := 0; i < hfDim; i += 173 {
-				if d, g := dense.Query(i), tiled.Query(i); d != g {
-					t.Fatalf("%s/%v: tiled diverges from dense at %d: %v vs %v", algo, h, i, d, g)
-				}
-			}
-		}
 	}
 }
 

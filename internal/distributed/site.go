@@ -88,9 +88,6 @@ func (s *site) ingest(budget int) int {
 	return applied
 }
 
-// drained reports whether the site's stream is exhausted.
-func (s *site) drained() bool { return s.pos >= len(s.stream) }
-
 // checkpoint captures the site's durable state: the replica set as a
 // wire-v2 sharded container plus the stream position it covers. A
 // restart restores exactly this pair and replays the stream from the

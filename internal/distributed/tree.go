@@ -10,10 +10,14 @@ import (
 	"repro/internal/stream"
 )
 
-// This file is the delta-shipping aggregation-tree fabric: the star of
-// continuous.go generalized to a fan-in-k tree whose edges carry delta
-// frames — only the shards whose epoch advanced since the last
-// acknowledged hop — instead of full site state every round. Interior
+// This file is the continuous-monitoring fabric (§1 combined with
+// §5.5): sites ingest their local update streams in rounds and, after
+// every round, synchronize through a fan-in-k aggregation tree. Its
+// edges carry delta frames — only the shards whose epoch advanced
+// since the last acknowledged hop — or, in ShipFull mode, every
+// site's complete state; a tree with FanIn ≥ Sites and one shard is
+// the classic star, every site shipping its whole sketch straight to
+// the coordinator each round. Interior
 // nodes cache each child's last-shipped per-shard state, merge the
 // deltas into per-shard aggregates (linearity again: the aggregate of
 // a shard is the sum of the children's shard replicas), and forward
@@ -91,6 +95,24 @@ func (c TreeConfig) Validate() error {
 		}
 	}
 	return nil
+}
+
+// MonitorStats accumulates the cost of a monitoring run.
+type MonitorStats struct {
+	Rounds         int
+	UpdatesApplied int
+	CommWords      int // total words shipped toward the coordinator
+	CommBytes      int // total encoded bytes shipped toward the coordinator
+
+	// SketchWords is the single-sketch size for the run's descriptor,
+	// and BudgetWordsPerRound the paper's theoretical per-round budget:
+	// sites × sketch size (§5.5) — what a full-state synchronization
+	// ships. Delta rounds are measured against it.
+	SketchWords         int
+	BudgetWordsPerRound int
+
+	Restarts int          // churn events applied
+	PerRound []RoundStats // per-synchronization communication ledger
 }
 
 // RoundStats is the communication ledger of one synchronization round.

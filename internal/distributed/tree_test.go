@@ -12,47 +12,6 @@ import (
 	"repro/internal/stream"
 )
 
-// Regression for the Split remainder bug: the comment always promised
-// site (i mod sites) the remainder, but the loop handed it to the last
-// site for every coordinate. With an inexactly divisible value the
-// remainder share differs from the plain share in the last bits, so
-// the rotation is observable per coordinate.
-func TestSplitRotatesRemainder(t *testing.T) {
-	const sites = 3
-	global := []float64{1, 1, 1, 1} // 1/3 is inexact: remainder share ≠ plain share
-	parts := Split(global, sites)
-	share := 1.0 / 3
-	remShare := 1 - 2*share
-	if remShare == share {
-		t.Fatal("test needs an inexact division to observe rotation")
-	}
-	for i := range global {
-		rem := i % sites
-		for p := 0; p < sites; p++ {
-			want := share
-			if p == rem {
-				want = remShare
-			}
-			if parts[p][i] != want {
-				t.Errorf("coordinate %d site %d = %v, want %v (remainder belongs to site %d)",
-					i, p, parts[p][i], want, rem)
-			}
-		}
-	}
-	// The buggy split gave every remainder to the last site, leaving
-	// per-site masses structurally identical. Rotated, site 0 holds two
-	// remainder shares of the four coordinates and site 2 only one.
-	mass := func(p int) (m float64) {
-		for _, v := range parts[p] {
-			m += v
-		}
-		return m
-	}
-	if mass(0) == mass(2) {
-		t.Errorf("per-site mass identical (%v): remainder is not rotating", mass(0))
-	}
-}
-
 func TestTreeConfigValidate(t *testing.T) {
 	ok := TreeConfig{Sites: 8, SyncEvery: 10, FanIn: 2, Shards: 4}
 	if err := ok.Validate(); err != nil {
@@ -109,8 +68,8 @@ func sampleBits(sk sketch.Sketch, n int) []uint64 {
 
 // The fabric's headline correctness property: for every linear
 // shippable algorithm, the delta-shipped coordinator answers
-// bit-identically to the full-state-shipped one, to the star
-// topology's, and to a single sketch fed the union of the streams —
+// bit-identically to the full-state-shipped one and to a single
+// sketch fed the union of the streams —
 // including runs with mid-stream churn. Integer update deltas make
 // every counter an exactly represented float64 sum, so association
 // order cannot perturb a single bit.
@@ -163,10 +122,6 @@ func TestTreeBitIdenticalAcrossShippingModes(t *testing.T) {
 				}
 			}
 
-			star, _, err := Monitor(MonitorConfig{Sites: sites, SyncEvery: syncEvery}, desc, streams, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			single, err := registry.SafeNew(desc.Algo, desc.Shape())
 			if err != nil {
 				t.Fatal(err)
@@ -176,11 +131,10 @@ func TestTreeBitIdenticalAcrossShippingModes(t *testing.T) {
 					single.Update(i, v)
 				}
 			}
-			db, fb, sb, ib := sampleBits(delta, n), sampleBits(full, n), sampleBits(star, n), sampleBits(single, n)
+			db, fb, ib := sampleBits(delta, n), sampleBits(full, n), sampleBits(single, n)
 			for k := range db {
-				if db[k] != fb[k] || db[k] != sb[k] || db[k] != ib[k] {
-					t.Fatalf("sample %d: delta %x full %x star %x single %x",
-						k, db[k], fb[k], sb[k], ib[k])
+				if db[k] != fb[k] || db[k] != ib[k] {
+					t.Fatalf("sample %d: delta %x full %x single %x", k, db[k], fb[k], ib[k])
 				}
 			}
 		})
@@ -439,14 +393,14 @@ func TestTreeEmptyStreams(t *testing.T) {
 	}
 }
 
-// The star Monitor's extended ledger: per-round entries sum to the
-// totals, every round is a full-frame round, and the budget matches
-// the paper's sites × sketch-size bound.
+// The star topology's ledger: per-round entries sum to the totals,
+// every round is a full-frame round, and the budget matches the
+// paper's sites × sketch-size bound.
 func TestMonitorPerRoundLedger(t *testing.T) {
 	const n, sites = 400, 3
 	streams, _ := mkStreams(sites, 500, n, 51)
 	desc := codec.Desc{Algo: "l2sr", N: n, S: 32, D: 1, Seed: 8}
-	_, st, err := Monitor(MonitorConfig{Sites: sites, SyncEvery: 100}, desc, streams, nil)
+	_, st, err := MonitorTree(starConfig(sites, 100), desc, streams, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,10 +86,6 @@ type Entry struct {
 	// Mmap marks algorithms whose counter plane can be served read-only
 	// straight out of a mapped checkpoint file.
 	Mmap bool
-	// Tiled marks algorithms whose counter plane can use the
-	// cache-blocked depth-major tiled layout (linear adds only — the
-	// conservative-update algorithms need in-place row views).
-	Tiled bool
 	// Tabulation marks algorithms whose rows can draw from the
 	// tabulation hash family instead of the default pairwise one (the
 	// table-based sketches; the S/R recoveries pin the paper's pairwise
@@ -201,10 +197,6 @@ func SafeNewBackend(name string, sh Shape, be sketch.Backend) (sk sketch.Sketch,
 	case sketch.BackendMmap:
 		if !e.Mmap {
 			return nil, fmt.Errorf("%w: %s cannot be served from a mapped checkpoint", ErrBackendUnsupported, e.Name)
-		}
-	case sketch.BackendTiled:
-		if !e.Tiled {
-			return nil, fmt.Errorf("%w: %s cannot use the tiled counter plane", ErrBackendUnsupported, e.Name)
 		}
 	}
 	if sh.Hash != sketch.HashPairwise && !e.Tabulation {
@@ -326,21 +318,21 @@ func init() {
 	})
 	Register(Entry{
 		Name: CountMedian, Legend: "CM", Aliases: []string{"count-median"},
-		Linear: true, Compressed: true, Mmap: true, Tiled: true, Tabulation: true,
+		Linear: true, Compressed: true, Mmap: true, Tabulation: true,
 		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
 			return sketch.NewCountMedianBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: CountSketch, Legend: "CS", Aliases: []string{"count-sketch"},
-		Linear: true, Mmap: true, Tiled: true, Tabulation: true,
+		Linear: true, Mmap: true, Tabulation: true,
 		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
 			return sketch.NewCountSketchBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: CountMin, Legend: "Count-Min", Aliases: []string{"count-min"},
-		Linear: true, Compressed: true, Mmap: true, Tiled: true, Tabulation: true,
+		Linear: true, Compressed: true, Mmap: true, Tabulation: true,
 		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
 			return sketch.NewCountMinBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
 		},
@@ -361,7 +353,7 @@ func init() {
 	})
 	Register(Entry{
 		Name: DengRafiei, Legend: "Deng-Rafiei", Aliases: []string{"deng-rafiei"},
-		Linear: true, Compressed: true, Mmap: true, Tiled: true, Tabulation: true,
+		Linear: true, Compressed: true, Mmap: true, Tabulation: true,
 		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
 			return sketch.NewDengRafieiBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
 		},

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -266,6 +267,47 @@ func TestPruneKeepsTwoGenerations(t *testing.T) {
 	for _, gen := range []uint64{4, 5} {
 		if _, err := os.Stat(containerPath(filepath.Join(dir, "acme", "s"), gen)); err != nil {
 			t.Errorf("generation %d missing: %v", gen, err)
+		}
+	}
+}
+
+// One tenant whose checkpoint files cannot be synced must not stop the
+// pass: every other sketch still advances a generation, and the pass
+// reports the failure.
+func TestCheckpointAllIsolatesFailingSketch(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Kind: "plain", Algo: "countmin", Dim: 100, Words: 16, Seed: 1}
+	// "a" sorts first in the pass order, so a pass that stops at the
+	// first failure would leave every later sketch unwritten.
+	for _, id := range [][2]string{{"a", "broken"}, {"b", "x"}, {"c", "y"}, {"c", "z"}} {
+		if _, err := s.reg.create(id[0], id[1], spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	brokenDir := filepath.Join(dir, "a") + string(filepath.Separator)
+	oldSync := syncFile
+	syncFile = func(f *os.File) error {
+		if strings.HasPrefix(f.Name(), brokenDir) {
+			return errInjectedSync
+		}
+		return oldSync(f)
+	}
+	t.Cleanup(func() { syncFile = oldSync })
+
+	if err := s.CheckpointAll(); !errors.Is(err, errInjectedSync) {
+		t.Fatalf("CheckpointAll err = %v, want the injected failure", err)
+	}
+	for _, e := range s.reg.all() {
+		want := uint64(1)
+		if e.tenant == "a" {
+			want = 0
+		}
+		if e.gen != want {
+			t.Errorf("%s/%s: generation %d after the pass, want %d", e.tenant, e.name, e.gen, want)
 		}
 	}
 }

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -569,5 +571,68 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 	}
 	if _, err := New(Config{DataDir: dir}); err != nil {
 		t.Fatalf("stray file broke the boot: %v", err)
+	}
+}
+
+// A client that sends its headers and then stalls mid-body holds its
+// tenant's limiter slot only until the read deadline: the body read
+// fails, the handler returns, and the slot comes back.
+func TestStalledBodyReleasesLimiterSlot(t *testing.T) {
+	s, err := New(Config{MaxInflight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := s.HTTPServer()
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadTimeout != readTimeout || hs.IdleTimeout != idleTimeout {
+		t.Fatalf("HTTPServer timeouts = %v/%v/%v, want %v/%v/%v",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout, readHeaderTimeout, readTimeout, idleTimeout)
+	}
+	// Same server, shorter deadline: the mechanism under test is the
+	// read deadline releasing the slot, not the production value.
+	hs.ReadTimeout = 300 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	t.Cleanup(func() { hs.Close() })
+	base := "http://" + ln.Addr().String()
+	mustCreate(t, base, "acme", `{"name":"s","kind":"plain","algo":"countmin","dim":10,"words":32,"depth":2}`)
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A valid frame announced in full, of which only the first half
+	// ever arrives: the decoder accepts the header and blocks on the
+	// element bytes.
+	body := frame(t, make([]int, 256), make([]float64, 256))
+	fmt.Fprintf(conn, "POST /v1/acme/sketches/s/ingest HTTP/1.1\r\nHost: sketchd\r\n"+
+		"Content-Type: application/octet-stream\r\nContent-Length: %d\r\n\r\n", len(body))
+	if _, err := conn.Write(body[:len(body)/2]); err != nil {
+		t.Fatal(err)
+	}
+
+	inflight := func() int {
+		s.lim.mu.Lock()
+		defer s.lim.mu.Unlock()
+		return s.lim.inflight["acme"]
+	}
+	waitFor := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); inflight() != want; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("tenant in-flight count stuck at %d, want %d", inflight(), want)
+			}
+		}
+	}
+	waitFor(1)
+	if resp, _ := do(t, "GET", base+"/v1/acme/sketches/s/query?i=1", ""); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("stalled request should hold the only slot: got %d, want 429", resp.StatusCode)
+	}
+	waitFor(0)
+	if resp, body := do(t, "GET", base+"/v1/acme/sketches/s/query?i=1", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("slot not released after the read deadline: %d (%s)", resp.StatusCode, body)
 	}
 }

@@ -14,6 +14,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,6 +41,17 @@ var (
 	// ErrDraining: the server is draining and no longer accepts work
 	// (HTTP 503).
 	ErrDraining = errors.New("server: draining")
+)
+
+// Connection timeouts of the http.Server returned by HTTPServer. A
+// tenant's limiter slot is held while its request body is read, so
+// without a read deadline a client that stalls mid-body would pin the
+// slot for good. readTimeout bounds the whole request read, headers
+// and body, and leaves room for a maximal ingest frame on a slow link.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
 )
 
 // Config configures a Server.
@@ -104,6 +116,18 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// HTTPServer returns an http.Server that serves Handler with the
+// package's connection timeouts. Serve it on a listener and call
+// Shutdown, then Drain, to stop.
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // checkpointLoop writes periodic checkpoints until Drain stops it. A
 // failing pass is recorded, not fatal: the next POST /v1/checkpoint
 // reports it, and the data directory keeps the last good checkpoint
@@ -130,21 +154,24 @@ type errBox struct{ err error }
 // — durable and atomic per sketch (fsynced temp file + rename into a
 // fresh generation, then the sidecar), so a crash mid-pass leaves each
 // sketch with either its old or its new checkpoint pair, never a torn
-// or mismatched one. Passes are serialized: concurrent callers queue
-// rather than interleave generation numbering. No data directory
-// configured is a no-op.
+// or mismatched one. A failing sketch does not stop the pass: every
+// other sketch is still written, and the failures come back joined.
+// Passes are serialized: concurrent callers queue rather than
+// interleave generation numbering. No data directory configured is a
+// no-op.
 func (s *Server) CheckpointAll() error {
 	if s.cfg.DataDir == "" {
 		return nil
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
+	var errs []error
 	for _, e := range s.reg.all() {
 		if err := writeEntry(s.cfg.DataDir, e); err != nil {
-			return fmt.Errorf("server: checkpoint %s/%s: %w", e.tenant, e.name, err)
+			errs = append(errs, fmt.Errorf("server: checkpoint %s/%s: %w", e.tenant, e.name, err))
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // Drain moves the server to draining (every subsequent request is

@@ -34,29 +34,18 @@ func allocSketches(r *rand.Rand) map[string]Sketch {
 	}
 }
 
-// allocVariantSketches covers the hot-path variants introduced by the
-// hash-family and counter-plane work: tabulation hashing, the tiled
-// plane, and the two combined — each must hold the same zero-alloc
-// steady state as the default pairwise/dense configuration.
+// allocVariantSketches covers the tabulation hash family — each
+// variant must hold the same zero-alloc steady state as the default
+// pairwise configuration.
 func allocVariantSketches(r *rand.Rand) map[string]Sketch {
 	tab := Config{N: allocDim, Rows: 128, Depth: 5, Hash: HashTabulation}
-	pair := Config{N: allocDim, Rows: 128, Depth: 5}
-	tiled := Backend{Kind: BackendTiled}
 	return map[string]Sketch{
-		"countmin/tab":          must(NewCountMin(tab, r)),
-		"countmedian/tab":       must(NewCountMedian(tab, r)),
-		"countsketch/tab":       must(NewCountSketch(tab, r)),
-		"cmcu/tab":              must(NewCMCU(tab, r)),
-		"cmlcu/tab":             must(NewCMLCU(tab, DefaultCMLBase, r)),
-		"dengrafiei/tab":        must(NewDengRafiei(tab, r)),
-		"countmin/tiled":        must(NewCountMinBackend(pair, tiled, r)),
-		"countmedian/tiled":     must(NewCountMedianBackend(pair, tiled, r)),
-		"countsketch/tiled":     must(NewCountSketchBackend(pair, tiled, r)),
-		"dengrafiei/tiled":      must(NewDengRafieiBackend(pair, tiled, r)),
-		"countmin/tab+tiled":    must(NewCountMinBackend(tab, tiled, r)),
-		"countmedian/tab+tiled": must(NewCountMedianBackend(tab, tiled, r)),
-		"countsketch/tab+tiled": must(NewCountSketchBackend(tab, tiled, r)),
-		"dengrafiei/tab+tiled":  must(NewDengRafieiBackend(tab, tiled, r)),
+		"countmin/tab":    must(NewCountMin(tab, r)),
+		"countmedian/tab": must(NewCountMedian(tab, r)),
+		"countsketch/tab": must(NewCountSketch(tab, r)),
+		"cmcu/tab":        must(NewCMCU(tab, r)),
+		"cmlcu/tab":       must(NewCMLCU(tab, DefaultCMLBase, r)),
+		"dengrafiei/tab":  must(NewDengRafiei(tab, r)),
 	}
 }
 

@@ -21,7 +21,7 @@ func NewCountMin(cfg Config, r *rand.Rand) (*CountMin, error) {
 
 // NewCountMinBackend creates a Count-Min sketch on the chosen counter
 // plane. Count-Min's updates are plain non-negative-leaning linear
-// adds, so every backend is supported: dense, tiled, compressed
+// adds, so every backend is supported: dense, compressed
 // (insert-only integer streams), and mmap (read-only).
 func NewCountMinBackend(cfg Config, be Backend, r *rand.Rand) (*CountMin, error) {
 	tb, err := newTable(cfg, r, be)

@@ -31,8 +31,8 @@ func NewCountSketch(cfg Config, r *rand.Rand) (*CountSketch, error) {
 // NewCountSketchBackend creates a Count-Sketch on the chosen counter
 // plane. The signed updates r_t(i)·delta go negative on every second
 // coordinate, which the insert-only compressed plane cannot represent —
-// BackendCompressed returns ErrBackendUnsupported. Dense, tiled, and
-// mmap (read-only) are supported.
+// BackendCompressed returns ErrBackendUnsupported. Dense and mmap
+// (read-only) are supported.
 //
 // The sign family matches the configured hash family (pairwise signs
 // with pairwise hashes, tabulation signs with tabulation hashes) and is
@@ -68,14 +68,6 @@ func (c *CountSketch) Backend() BackendKind { return c.tb.backend() }
 func (c *CountSketch) Update(i int, delta float64) {
 	c.tb.checkIndex(i)
 	u := uint64(i)
-	if tp := c.tb.tplane; tp != nil {
-		tp.dirty = true
-		buf := tp.buf
-		for t := 0; t < c.tb.cfg.Depth; t++ {
-			buf[tp.pos(t, c.tb.hash.Hash(t, u))] += c.signs.SignFloat(t, u) * delta
-		}
-		return
-	}
 	cells := c.tb.writable()
 	if ts := c.tb.hash.T; ts != nil {
 		for t, h := range ts {
@@ -106,17 +98,6 @@ func (c *CountSketch) UpdateBatch(idx []int, deltas []float64) {
 	c.tb.checkBatch(idx, deltas)
 	c.growSbuf(len(idx))
 	sg := c.sbuf[:len(idx)]
-	if tp := c.tb.tplane; tp != nil {
-		tp.dirty = true
-		buf := tp.buf
-		for t := 0; t < c.tb.cfg.Depth; t++ {
-			c.signs.SignFloatMany(t, idx, sg)
-			for j, b := range c.tb.hashRow(t, idx) {
-				buf[tp.pos(t, b)] += sg[j] * deltas[j]
-			}
-		}
-		return
-	}
 	cells := c.tb.writable()
 	for t := range cells {
 		row := cells[t]

@@ -37,7 +37,7 @@ func NewDengRafiei(cfg Config, r *rand.Rand) (*DengRafiei, error) {
 
 // NewDengRafieiBackend creates a Deng–Rafiei sketch on the chosen
 // counter plane. Updates are plain linear adds, so every backend is
-// supported: dense, tiled, compressed (insert-only integer streams),
+// supported: dense, compressed (insert-only integer streams),
 // and mmap (read-only).
 //
 // The sketch carries one scalar of state beyond the cell matrix — the

@@ -20,12 +20,6 @@ type table struct {
 	hash  hashing.Family
 	plane Plane
 
-	// tplane is the concrete tiled plane when the backend is
-	// BackendTiled, nil otherwise. The hot paths branch on it once and
-	// index its flat buffer directly (plane interface calls would cost
-	// a dynamic dispatch per counter).
-	tplane *tiledPlane
-
 	// wrows is the plane's direct-write row view — non-nil only for
 	// the dense backend. The update hot paths branch on it once and
 	// mutate in place, exactly as the pre-plane code did; the fallback
@@ -67,7 +61,6 @@ func newTable(cfg Config, r *rand.Rand, be Backend) (table, error) {
 		return table{}, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	var p Plane
-	var tp *tiledPlane
 	switch be.Kind {
 	case BackendDense:
 		p = newDensePlane(cfg.Depth, cfg.Rows)
@@ -79,14 +72,11 @@ func newTable(cfg Config, r *rand.Rand, be Backend) (table, error) {
 			return table{}, err
 		}
 		p = mp
-	case BackendTiled:
-		tp = newTiledPlane(cfg.Depth, cfg.Rows)
-		p = tp
 	default:
 		return table{}, fmt.Errorf("%w: unknown backend %v", ErrConfig, be.Kind)
 	}
-	tb := table{cfg: cfg, hash: h, plane: p, tplane: tp, wrows: p.WritableRows()}
-	if be.Kind != BackendCompressed && be.Kind != BackendTiled {
+	tb := table{cfg: cfg, hash: h, plane: p, wrows: p.WritableRows()}
+	if be.Kind != BackendCompressed {
 		v, err := p.View()
 		if err != nil {
 			return table{}, err
@@ -200,8 +190,8 @@ func (tb *table) addBatchSlow(idx []int, deltas []float64) {
 
 // addPoint applies one linear add of delta at every row's bucket for
 // coordinate i — the element-wise write primitive of the linear
-// sketches. The layout (dense rows / tiled buffer / plane primitive)
-// and the hash arm are each branched once, so the inner loops carry no
+// sketches. The layout (dense rows / plane primitive) and the hash
+// arm are each branched once, so the inner loops carry no
 // per-element dispatch and the dense-pairwise path compiles exactly as
 // it did before the family became pluggable.
 //
@@ -217,20 +207,6 @@ func (tb *table) addPoint(i int, delta float64) {
 		}
 		for t, h := range tb.hash.H {
 			w[t][h.Hash(u)] += delta
-		}
-		return
-	}
-	if tp := tb.tplane; tp != nil {
-		tp.dirty = true
-		buf := tp.buf
-		if ts := tb.hash.T; ts != nil {
-			for t, h := range ts {
-				buf[tp.pos(t, h.Hash(u))] += delta
-			}
-			return
-		}
-		for t, h := range tb.hash.H {
-			buf[tp.pos(t, h.Hash(u))] += delta
 		}
 		return
 	}
@@ -253,34 +229,17 @@ func (tb *table) addBatch(idx []int, deltas []float64) {
 		}
 		return
 	}
-	if tp := tb.tplane; tp != nil {
-		tp.dirty = true
-		buf := tp.buf
-		for t := 0; t < tb.cfg.Depth; t++ {
-			for j, b := range tb.hashRow(t, idx) {
-				buf[tp.pos(t, b)] += deltas[j]
-			}
-		}
-		return
-	}
 	tb.addBatchSlow(idx, deltas)
 }
 
 // gatherRowValues hashes row t over tile into sc.Ints and writes the
-// row's bucket values into o — the shared layout-dispatched gather
-// behind every BatchRecovery.GatherRow.
+// row's bucket values into o — the shared gather behind every
+// BatchRecovery.GatherRow.
 //
 //sketch:hotpath
 func (tb *table) gatherRowValues(t int, tile []int, o []float64, sc *QScratch) {
 	hb := sc.Ints[:len(tile)]
 	tb.hash.HashMany(t, tile, hb)
-	if tp := tb.tplane; tp != nil {
-		buf := tp.buf
-		for j, b := range hb {
-			o[j] = buf[tp.pos(t, b)]
-		}
-		return
-	}
 	row := tb.rows()[t]
 	for j, b := range hb {
 		o[j] = row[b]
@@ -288,20 +247,12 @@ func (tb *table) gatherRowValues(t int, tile []int, o []float64, sc *QScratch) {
 }
 
 // minPoint returns the minimum bucket value over rows for coordinate i
-// — the element-wise Count-Min-family query, branched once on layout
-// and hash arm.
+// — the element-wise Count-Min-family query, branched once on the hash
+// arm.
 //
 //sketch:hotpath
 func (tb *table) minPoint(i int) float64 {
 	u := uint64(i)
-	if tp := tb.tplane; tp != nil {
-		buf := tp.buf
-		m := buf[tp.pos(0, tb.hash.Hash(0, u))]
-		for t := 1; t < tb.cfg.Depth; t++ {
-			m = min(m, buf[tp.pos(t, tb.hash.Hash(t, u))])
-		}
-		return m
-	}
 	cells := tb.rows()
 	if ts := tb.hash.T; ts != nil {
 		m := cells[0][ts[0].Hash(u)]
@@ -320,18 +271,11 @@ func (tb *table) minPoint(i int) float64 {
 
 // gatherPoint writes every row's bucket value for coordinate i into
 // buf[t] — the element-wise gather of the median-family queries,
-// branched once on layout and hash arm.
+// branched once on the hash arm.
 //
 //sketch:hotpath
 func (tb *table) gatherPoint(i int, buf []float64) {
 	u := uint64(i)
-	if tp := tb.tplane; tp != nil {
-		pbuf := tp.buf
-		for t := range buf {
-			buf[t] = pbuf[tp.pos(t, tb.hash.Hash(t, u))]
-		}
-		return
-	}
 	cells := tb.rows()
 	if ts := tb.hash.T; ts != nil {
 		for t, h := range ts {
@@ -574,24 +518,6 @@ func (tb *table) minRows(idx []int, out []float64) {
 	sc := GetQScratch(0, len(idx))
 	defer PutQScratch(sc)
 	hb := sc.Ints[:len(idx)]
-	if tp := tb.tplane; tp != nil {
-		buf := tp.buf
-		for t := 0; t < tb.cfg.Depth; t++ {
-			tb.hash.HashMany(t, idx, hb)
-			if t == 0 {
-				for j, b := range hb {
-					out[j] = buf[tp.pos(0, b)]
-				}
-				continue
-			}
-			for j, b := range hb {
-				// builtin min is branchless; a compare-and-assign
-				// mispredicts on random counters.
-				out[j] = min(out[j], buf[tp.pos(t, b)])
-			}
-		}
-		return
-	}
 	cells := tb.rows()
 	for t := range cells {
 		row := cells[t]
@@ -603,6 +529,8 @@ func (tb *table) minRows(idx []int, out []float64) {
 			continue
 		}
 		for j, b := range hb {
+			// builtin min is branchless; a compare-and-assign
+			// mispredicts on random counters.
 			out[j] = min(out[j], row[b])
 		}
 	}

@@ -4,7 +4,8 @@
 // are not redistributable in an offline build, so each generator
 // reproduces the statistical property the corresponding experiment
 // exercises: the bias structure (where most coordinates concentrate)
-// and the tail/outlier shape. DESIGN.md §2 records each substitution.
+// and the tail/outlier shape. Each generator's doc comment in
+// workload.go records its substitution.
 package workload
 
 import (

@@ -164,7 +164,7 @@ func buildConfig(opts []Option) (newConfig, error) {
 		return cfg, fmt.Errorf("%w: unknown hashing family %v", ErrInvalidOption, cfg.hash)
 	}
 	switch cfg.backend {
-	case sketch.BackendDense, sketch.BackendCompressed, sketch.BackendTiled:
+	case sketch.BackendDense, sketch.BackendCompressed:
 	case sketch.BackendMmap:
 		return cfg, fmt.Errorf("%w: WithBackend(BackendMmap) — mmap sketches are opened from a checkpoint file via OpenMmap, not built empty", ErrInvalidOption)
 	default:

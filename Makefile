@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race cover lint bench-json serve-smoke
+.PHONY: build test race cover lint bench-json serve-smoke perfbench-check
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,14 @@ lint:
 	else echo "staticcheck not installed; skipped (CI runs it pinned)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "govulncheck not installed; skipped (CI runs it pinned)"; fi
+
+# perfbench/ is its own module (replace → repo root), so the root
+# go build/vet/test ./... never compiles it; this target does, so a
+# change to an internal API the benchmark driver calls fails here
+# instead of at benchmark time.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Regenerate the checked-in benchmark baseline.
 bench-json:

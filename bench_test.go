@@ -327,8 +327,8 @@ func BenchmarkAblationBiasHeap(b *testing.B) {
 		_ = sink
 	})
 	b.Run("sort", func(b *testing.B) {
-		// Sort-based reference: recompute the middle average per query
-		// via the estimator's sort path, by rebuilding with dirty flag.
+		// Sort-based reference: recompute the middle average from
+		// scratch per query.
 		w := make([]float64, s)
 		r := rand.New(rand.NewSource(7))
 		b.ResetTimer()

@@ -30,12 +30,15 @@ import (
 	"sync/atomic"
 )
 
-// Mergeable is the sketch surface sharding needs: streaming updates,
-// point queries, and linear merge. core.L1SR and core.L2SR satisfy it
-// via small adapters (see MergeFunc), as do the linear baselines.
+// Mergeable is the replica surface sharding needs: sketch.Sketch's
+// method set (see there for the batch contracts), restated structurally
+// so this package keeps zero sketch dependencies. Merging is supplied
+// separately as New's merge function.
 type Mergeable interface {
 	Update(i int, delta float64)
 	Query(i int) float64
+	UpdateBatch(idx []int, deltas []float64)
+	QueryBatch(idx []int, out []float64)
 	Dim() int
 	Words() int
 }
@@ -108,18 +111,6 @@ func (s *Sharded[S]) Update(slot, i int, delta float64) {
 	sh.sk.Update(i, delta)
 }
 
-// batchUpdater matches sketches with a native batched ingestion path —
-// the sketch.BatchUpdater capability, restated structurally so this
-// package keeps zero sketch dependencies.
-type batchUpdater interface {
-	UpdateBatch(idx []int, deltas []float64)
-}
-
-// batchQuerier is the read-side twin (sketch.BatchQuerier).
-type batchQuerier interface {
-	QueryBatch(idx []int, out []float64)
-}
-
 // readPreparer matches sketches that precompute lazily built query
 // caches, so the first reads of a published snapshot don't pay the
 // cache construction.
@@ -137,12 +128,12 @@ type readCacheAdopter interface {
 
 // UpdateBatch applies x[idx[j]] += deltas[j] for every j on the slot's
 // shard under a single lock acquisition — one acquire/release per
-// batch instead of per element, the high-throughput ingestion path.
-// Replicas with a native batched path get the whole batch at once;
-// others absorb it element-wise under the one lock. The shard epoch
-// advances once per batch, by defer — even a batch that panics
-// half-applied (possible only through the element-wise fallback) stays
-// visible to the next refresh.
+// batch instead of per element, the high-throughput ingestion path —
+// and hands the whole batch to the replica's UpdateBatch. The shard
+// epoch advances once per batch, by defer: the sketches in this module
+// validate a batch before applying it, but a foreign replica that
+// panics half-applied still has its partial write reach the next
+// refresh.
 //
 //sketch:hotpath
 func (s *Sharded[S]) UpdateBatch(slot int, idx []int, deltas []float64) {
@@ -156,13 +147,7 @@ func (s *Sharded[S]) UpdateBatch(slot int, idx []int, deltas []float64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	defer sh.epoch.Add(1)
-	if b, ok := any(sh.sk).(batchUpdater); ok {
-		b.UpdateBatch(idx, deltas)
-		return
-	}
-	for j, i := range idx {
-		sh.sk.Update(i, deltas[j])
-	}
+	sh.sk.UpdateBatch(idx, deltas)
 }
 
 // Snapshot is an immutable merged view of a Sharded sketch: the sum of
@@ -181,9 +166,10 @@ type Snapshot[S Mergeable] struct {
 // Merged for a mutable copy).
 func (sn *Snapshot[S]) Sketch() S { return sn.sk }
 
-// pointBufs is the pooled one-element batch a Snapshot point query
-// routes through: pooling keeps the buffers off the heap per call even
-// though they escape into the replica's QueryBatch via an interface.
+// pointBufs is the pooled one-element batch a shared-replica point
+// query routes through: pooling keeps the buffers off the heap per call
+// even though they escape into the replica's QueryBatch via an
+// interface.
 type pointBufs struct {
 	idx [1]int
 	out [1]float64
@@ -191,14 +177,14 @@ type pointBufs struct {
 
 var pointPool = sync.Pool{New: func() any { return new(pointBufs) }}
 
-// Query answers a point query against the snapshot, lock-free. It
-// routes through the replica's batched path as a batch of one: the
+// QueryPoint answers a point query against a shared, quiescent replica
+// (a published Snapshot or sliding-window View) as a batch of one: the
 // single-element Query methods of most sketches reuse per-sketch
-// scratch, which concurrent readers of a shared snapshot must not
+// scratch, which concurrent readers of a shared replica must not
 // touch, while the batched paths borrow their scratch per call.
 //
 //sketch:hotpath
-func (sn *Snapshot[S]) Query(i int) float64 {
+func QueryPoint[S Mergeable](sk S, i int) float64 {
 	pb := pointPool.Get().(*pointBufs)
 	// Returned by defer: a panicking replica QueryBatch (an
 	// out-of-range index, a poisoned foreign replica) must not leak the
@@ -206,31 +192,27 @@ func (sn *Snapshot[S]) Query(i int) float64 {
 	// it into a 500) would otherwise bleed one allocation per recovery.
 	defer pointPool.Put(pb)
 	pb.idx[0] = i
-	sn.QueryBatch(pb.idx[:], pb.out[:])
+	sk.QueryBatch(pb.idx[:], pb.out[:])
 	return pb.out[0]
 }
 
+// Query answers a point query against the snapshot, lock-free, through
+// QueryPoint.
+//
+//sketch:hotpath
+func (sn *Snapshot[S]) Query(i int) float64 { return QueryPoint(sn.sk, i) }
+
 // QueryBatch answers a batch of point queries against the snapshot,
-// lock-free, through the replica's native batched path when it has one
-// (bit-identical to the Query loop either way). The native batched
-// paths borrow pooled scratch per call, so concurrent QueryBatch calls
-// on one snapshot are safe. (Replicas from outside this module without
-// a QueryBatch fall back to their Query method; whether concurrent
-// snapshot reads are then safe depends on that Query being
-// scratch-free.)
+// lock-free, through the replica's batched path (bit-identical to the
+// Query loop). The batched paths borrow pooled scratch per call, so
+// concurrent QueryBatch calls on one snapshot are safe.
 //
 //sketch:hotpath
 func (sn *Snapshot[S]) QueryBatch(idx []int, out []float64) {
 	if len(idx) != len(out) {
 		panic(fmt.Sprintf("concurrent: batch index count %d != output count %d", len(idx), len(out)))
 	}
-	if b, ok := any(sn.sk).(batchQuerier); ok {
-		b.QueryBatch(idx, out)
-		return
-	}
-	for j, i := range idx {
-		out[j] = sn.sk.Query(i)
-	}
+	sn.sk.QueryBatch(idx, out)
 }
 
 // Stale reports whether any shard has absorbed writes since this
@@ -307,17 +289,11 @@ func (s *Sharded[S]) Refresh() (*Snapshot[S], error) {
 			return nil, fmt.Errorf("concurrent: merging frozen shard %d: %w", i, err)
 		}
 	}
-	// Replica query caches are seed-determined: adopt them from the
-	// outgoing snapshot when possible, compute them once otherwise, so
-	// refreshes after the first don't pay the O(n·d) warm-up.
-	if a, ok := any(merged).(readCacheAdopter); ok {
-		if prev := s.view.Load(); prev != nil {
-			a.AdoptReadCaches(any(prev.sk))
-		}
+	var prev any
+	if v := s.view.Load(); v != nil {
+		prev = v.sk
 	}
-	if p, ok := any(merged).(readPreparer); ok {
-		p.PrepareRead()
-	}
+	WarmReplica(merged, prev)
 	snap := &Snapshot[S]{
 		owner:  s,
 		sk:     merged,
@@ -325,6 +301,21 @@ func (s *Sharded[S]) Refresh() (*Snapshot[S], error) {
 	}
 	s.view.Store(snap)
 	return snap, nil
+}
+
+// WarmReplica readies a freshly merged replica for publication. Replica
+// query caches are seed-determined: it adopts them from prev (the
+// outgoing published replica, or nil) when possible and computes them
+// once otherwise, so refreshes after the first don't pay the O(n·d)
+// warm-up and the first reads of the new replica don't pay the cache
+// construction.
+func WarmReplica(merged, prev any) {
+	if a, ok := merged.(readCacheAdopter); ok && prev != nil {
+		a.AdoptReadCaches(prev)
+	}
+	if p, ok := merged.(readPreparer); ok {
+		p.PrepareRead()
+	}
 }
 
 // equalEpochs compares two per-shard epoch vectors. A length mismatch

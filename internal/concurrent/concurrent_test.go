@@ -14,7 +14,7 @@ import (
 
 func mkL2(seed int64) func() *core.L2SR {
 	return func() *core.L2SR {
-		return core.NewL2SR(core.L2Config{N: 10000, K: 64, UseBiasHeap: true},
+		return core.NewL2SR(core.L2Config{N: 10000, K: 64},
 			rand.New(rand.NewSource(seed)))
 	}
 }
@@ -378,33 +378,26 @@ func TestConcurrentBatchWritersExactTotal(t *testing.T) {
 	}
 }
 
-// Replicas without a native batched path absorb batches element-wise
-// under the single lock — same counters either way.
-func TestUpdateBatchFallbackForPlainMergeable(t *testing.T) {
-	mk := func() *plainCounter { return &plainCounter{x: make([]float64, 100)} }
-	sh := New(2, mk, func(dst, src *plainCounter) error {
-		for i, v := range src.x {
-			dst.x[i] += v
-		}
-		return nil
-	})
-	sh.UpdateBatch(0, []int{3, 3, 7}, []float64{1, 2, 4})
-	snap, err := sh.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Query(3) != 3 || snap.Query(7) != 4 {
-		t.Fatalf("fallback batch lost updates: x[3]=%v x[7]=%v", snap.Query(3), snap.Query(7))
-	}
-}
-
-// plainCounter is a Mergeable with no UpdateBatch method.
+// plainCounter is a minimal Mergeable whose batch methods are bare
+// loops with no up-front validation, like a foreign replica's might be.
 type plainCounter struct{ x []float64 }
 
 func (p *plainCounter) Update(i int, delta float64) { p.x[i] += delta }
 func (p *plainCounter) Query(i int) float64         { return p.x[i] }
 func (p *plainCounter) Dim() int                    { return len(p.x) }
 func (p *plainCounter) Words() int                  { return len(p.x) }
+
+func (p *plainCounter) UpdateBatch(idx []int, deltas []float64) {
+	for j, i := range idx {
+		p.x[i] += deltas[j]
+	}
+}
+
+func (p *plainCounter) QueryBatch(idx []int, out []float64) {
+	for j, i := range idx {
+		out[j] = p.x[i]
+	}
+}
 
 func BenchmarkShardedUpdateBatchParallel(b *testing.B) {
 	const batchLen = 1024

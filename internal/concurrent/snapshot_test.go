@@ -178,8 +178,7 @@ func TestSnapshotReadersNeverSeeTornMerge(t *testing.T) {
 	}
 }
 
-// The sharded QueryBatch refreshes on staleness and falls back to a
-// Query loop for replicas without a native batched path.
+// The sharded QueryBatch refreshes on staleness.
 func TestShardedQueryBatch(t *testing.T) {
 	sh := New(2, mkExact(100), mergeExact)
 	sh.UpdateBatch(0, []int{3, 7}, []float64{2, 5})
@@ -196,23 +195,6 @@ func TestShardedQueryBatch(t *testing.T) {
 	}
 	if out[0] != 3 {
 		t.Fatalf("stale read: x[3] = %v, want 3", out[0])
-	}
-
-	// plainCounter has no QueryBatch: the snapshot loops.
-	plain := New(2, func() *plainCounter { return &plainCounter{x: make([]float64, 10)} },
-		func(dst, src *plainCounter) error {
-			for i, v := range src.x {
-				dst.x[i] += v
-			}
-			return nil
-		})
-	plain.Update(0, 4, 9)
-	pout := make([]float64, 1)
-	if err := plain.QueryBatch([]int{4}, pout); err != nil {
-		t.Fatal(err)
-	}
-	if pout[0] != 9 {
-		t.Fatalf("fallback QueryBatch = %v, want 9", pout[0])
 	}
 }
 
@@ -252,9 +234,9 @@ func TestRefreshRetriesAfterFailedPublish(t *testing.T) {
 
 var errFault = errors.New("injected merge fault")
 
-// A batch that panics half-applied through the element-wise fallback
-// still bumps the shard epoch, so the partial write reaches the next
-// snapshot instead of silently diverging from Merged.
+// A batch that panics half-applied in a replica that skips up-front
+// validation still bumps the shard epoch, so the partial write reaches
+// the next snapshot instead of silently diverging from Merged.
 func TestPartialFallbackBatchStaysVisibleToSnapshots(t *testing.T) {
 	sh := New(1, func() *plainCounter { return &plainCounter{x: make([]float64, 10)} },
 		func(dst, src *plainCounter) error {
@@ -272,8 +254,8 @@ func TestPartialFallbackBatchStaysVisibleToSnapshots(t *testing.T) {
 				t.Fatal("out-of-range element should panic")
 			}
 		}()
-		// plainCounter has no UpdateBatch and no pre-validation: the
-		// first element lands before the second panics.
+		// plainCounter's UpdateBatch has no pre-validation: the first
+		// element lands before the second panics.
 		sh.UpdateBatch(0, []int{4, 99}, []float64{7, 1})
 	}()
 	snap, err := sh.Refresh()

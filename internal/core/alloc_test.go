@@ -13,8 +13,8 @@ import (
 
 // Runtime gates of the //sketch:hotpath contract for the bias-aware
 // recoveries: with query caches warm (π/ψ, the estimator cache) and
-// the shared scratch pool primed, QueryBatch and UpdateBatch run with
-// zero allocations per call.
+// the shared scratch pool primed, Query, QueryBatch, Update and
+// UpdateBatch run with zero allocations per call.
 
 const (
 	allocDim   = 1 << 12
@@ -43,34 +43,39 @@ func TestL1SRQueryBatchAllocFree(t *testing.T) {
 		if n := testing.AllocsPerRun(50, func() { l.QueryBatch(idx, out) }); n != 0 {
 			t.Errorf("estimator %v: QueryBatch allocates %.1f per call in steady state", est, n)
 		}
+		if n := testing.AllocsPerRun(50, func() { _ = l.Query(idx[0]) }); n != 0 {
+			t.Errorf("estimator %v: Query allocates %.1f per call in steady state", est, n)
+		}
 	}
 }
 
 func TestL2SRQueryBatchAllocFree(t *testing.T) {
-	for _, heap := range []bool{false, true} {
-		r := rand.New(rand.NewSource(11))
-		l := NewL2SR(L2Config{N: allocDim, K: 16, UseBiasHeap: heap}, r)
-		idx, deltas, out := allocCoreBatch(r)
-		l.UpdateBatch(idx, deltas)
-		l.PrepareRead()
-		l.QueryBatch(idx, out)
-		if n := testing.AllocsPerRun(50, func() { l.QueryBatch(idx, out) }); n != 0 {
-			t.Errorf("heap=%v: QueryBatch allocates %.1f per call in steady state", heap, n)
-		}
+	r := rand.New(rand.NewSource(11))
+	l := NewL2SR(L2Config{N: allocDim, K: 16}, r)
+	idx, deltas, out := allocCoreBatch(r)
+	l.UpdateBatch(idx, deltas)
+	l.PrepareRead()
+	l.QueryBatch(idx, out)
+	if n := testing.AllocsPerRun(50, func() { l.QueryBatch(idx, out) }); n != 0 {
+		t.Errorf("QueryBatch allocates %.1f per call in steady state", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { _ = l.Query(idx[0]) }); n != 0 {
+		t.Errorf("Query allocates %.1f per call in steady state", n)
 	}
 }
 
-// The ℓ2 update path is fully in-place for both estimator variants:
-// the bias row and the Bias-Heap re-seat buckets without allocating.
+// The ℓ2 update path is fully in-place: the bias row and the Bias-Heap
+// re-seat buckets without allocating.
 func TestL2SRUpdateBatchAllocFree(t *testing.T) {
-	for _, heap := range []bool{false, true} {
-		r := rand.New(rand.NewSource(11))
-		l := NewL2SR(L2Config{N: allocDim, K: 16, UseBiasHeap: heap}, r)
-		idx, deltas, _ := allocCoreBatch(r)
-		l.UpdateBatch(idx, deltas)
-		if n := testing.AllocsPerRun(50, func() { l.UpdateBatch(idx, deltas) }); n != 0 {
-			t.Errorf("heap=%v: UpdateBatch allocates %.1f per call in steady state", heap, n)
-		}
+	r := rand.New(rand.NewSource(11))
+	l := NewL2SR(L2Config{N: allocDim, K: 16}, r)
+	idx, deltas, _ := allocCoreBatch(r)
+	l.UpdateBatch(idx, deltas)
+	if n := testing.AllocsPerRun(50, func() { l.UpdateBatch(idx, deltas) }); n != 0 {
+		t.Errorf("UpdateBatch allocates %.1f per call in steady state", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { l.Update(idx[0], deltas[0]) }); n != 0 {
+		t.Errorf("Update allocates %.1f per call in steady state", n)
 	}
 }
 
@@ -99,6 +104,9 @@ func TestL1SRUpdateBatchAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { l.UpdateBatch(idx, deltas) }); n != 0 {
 		t.Errorf("UpdateBatch (unsampled coords) allocates %.1f per call in steady state", n)
 	}
+	if n := testing.AllocsPerRun(50, func() { l.Update(idx[0], deltas[0]) }); n != 0 {
+		t.Errorf("Update (unsampled coord) allocates %.1f per call in steady state", n)
+	}
 
 	rm := rand.New(rand.NewSource(11))
 	lm := NewL1SR(L1Config{N: allocDim, K: 16, Estimator: EstimatorMean}, rm)
@@ -106,5 +114,8 @@ func TestL1SRUpdateBatchAllocFree(t *testing.T) {
 	lm.UpdateBatch(midx, mdeltas)
 	if n := testing.AllocsPerRun(50, func() { lm.UpdateBatch(midx, mdeltas) }); n != 0 {
 		t.Errorf("UpdateBatch (mean estimator) allocates %.1f per call in steady state", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { lm.Update(midx[0], mdeltas[0]) }); n != 0 {
+		t.Errorf("Update (mean estimator) allocates %.1f per call in steady state", n)
 	}
 }

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
-	"sync"
 
 	"repro/internal/biasheap"
 	"repro/internal/hashing"
@@ -213,34 +211,23 @@ func (e *sampleMedianEstimator) SetState(v []float64) error {
 
 // ---------------------------------------------------------------------------
 // Median-bucket estimator (ℓ2-S/R, Algorithm 3 line 1 + Algorithm 4
-// lines 1–2; streaming variant via the Bias-Heap of Algorithm 5)
+// lines 1–2, maintained by the streaming Bias-Heap of Algorithms 5–6)
 
 // medianBucketEstimator maintains w = Π(g)x for a single CM row of s
 // buckets plus the column counts π, and estimates the bias as the
 // average coordinate value inside the middle 2k buckets when buckets
-// are ordered by w_i/π_i. With useHeap it maintains the order
-// incrementally (Algorithm 5); otherwise it sorts lazily at query
-// time (Algorithm 4), caching until the next update.
+// are ordered by w_i/π_i. The Bias-Heap keeps that order incrementally
+// (Algorithm 5): O(log s) per update, and Bias() is a pure O(1) read,
+// so concurrent readers of a quiescent sketch share it freely.
 type medianBucketEstimator struct {
-	g  hashing.Pairwise
-	w  []float64
-	pi []float64
-	k  int
-
-	useHeap bool
-	heap    *biasheap.Heap
-
-	// The sort-at-query cache is guarded by mu so that concurrent
-	// readers of a quiescent sketch (the snapshot-serving contract of
-	// QueryBatch) can share one estimator: the first Bias() after an
-	// update sorts and fills the cache, later ones read it. The heap
-	// variant needs no guard — its Bias() is a pure read.
-	mu     sync.Mutex
-	dirty  bool
-	cached float64
+	g    hashing.Pairwise
+	w    []float64
+	pi   []float64
+	k    int
+	heap *biasheap.Heap
 }
 
-func newMedianBucketEstimator(n, s, k int, useHeap bool, r *rand.Rand) *medianBucketEstimator {
+func newMedianBucketEstimator(n, s, k int, r *rand.Rand) *medianBucketEstimator {
 	if s < 2*k {
 		panic(fmt.Sprintf("core: bucket count s=%d must be at least 2k=%d", s, 2*k))
 	}
@@ -250,89 +237,25 @@ func newMedianBucketEstimator(n, s, k int, useHeap bool, r *rand.Rand) *medianBu
 		panic(err)
 	}
 	e := &medianBucketEstimator{
-		g:       g,
-		w:       make([]float64, s),
-		pi:      make([]float64, s),
-		k:       k,
-		useHeap: useHeap,
-		dirty:   true,
+		g:  g,
+		w:  make([]float64, s),
+		pi: make([]float64, s),
+		k:  k,
 	}
 	for j := 0; j < n; j++ {
 		e.pi[e.g.Hash(uint64(j))]++
 	}
-	if useHeap {
-		e.heap = biasheap.New(e.pi, 2*k)
-	}
+	e.heap = biasheap.New(e.pi, 2*k)
 	return e
 }
 
 func (e *medianBucketEstimator) Observe(i int, delta float64) {
 	b := e.g.Hash(uint64(i))
 	e.w[b] += delta
-	if e.useHeap {
-		e.heap.Update(b, delta)
-	} else {
-		e.dirty = true
-	}
+	e.heap.Update(b, delta)
 }
 
-func (e *medianBucketEstimator) Bias() float64 {
-	if e.useHeap {
-		return e.heap.Bias()
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.dirty {
-		e.cached = e.sortBias()
-		e.dirty = false
-	}
-	return e.cached
-}
-
-// sortBias implements Algorithm 4 line 2 directly: order buckets by
-// w_i/π_i (ties by id, matching the Bias-Heap's total order), exclude
-// the top and bottom (s−2k)/2, and average the rest.
-func (e *medianBucketEstimator) sortBias() float64 {
-	s := len(e.w)
-	ids := make([]int, s)
-	for i := range ids {
-		ids[i] = i
-	}
-	key := func(i int) float64 {
-		if e.pi[i] == 0 {
-			return 0
-		}
-		return e.w[i] / e.pi[i]
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		ka, kb := key(ids[a]), key(ids[b])
-		if ka != kb {
-			return ka < kb
-		}
-		return ids[a] < ids[b]
-	})
-	mid := 2 * e.k
-	topSize := (s - mid) / 2
-	botSize := (s - mid) - topSize
-	var wSum, piSum float64
-	for _, id := range ids[botSize : s-topSize] {
-		wSum += e.w[id]
-		piSum += e.pi[id]
-	}
-	if piSum > 0 {
-		return wSum / piSum
-	}
-	// Degenerate middle: fall back to the global average.
-	var wTot, piTot float64
-	for i := range e.w {
-		wTot += e.w[i]
-		piTot += e.pi[i]
-	}
-	if piTot > 0 {
-		return wTot / piTot
-	}
-	return 0
-}
+func (e *medianBucketEstimator) Bias() float64 { return e.heap.Bias() }
 
 func (e *medianBucketEstimator) Words() int { return len(e.w) }
 
@@ -345,12 +268,11 @@ func (e *medianBucketEstimator) SetState(v []float64) error {
 		return fmt.Errorf("core: bucket state length %d, want %d", len(v), len(e.w))
 	}
 	for b := range e.w {
-		if e.useHeap && v[b] != e.w[b] {
+		if v[b] != e.w[b] {
 			e.heap.Update(b, v[b]-e.w[b])
 		}
 		e.w[b] = v[b]
 	}
-	e.dirty = true
 	return nil
 }
 
@@ -364,11 +286,8 @@ func (e *medianBucketEstimator) Merge(other Estimator) error {
 			continue
 		}
 		e.w[b] += o.w[b]
-		if e.useHeap {
-			e.heap.Update(b, o.w[b])
-		}
+		e.heap.Update(b, o.w[b])
 	}
-	e.dirty = true
 	return nil
 }
 

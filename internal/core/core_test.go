@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/sketch"
@@ -237,31 +239,91 @@ func TestMeanEstimatorContaminated(t *testing.T) {
 	}
 }
 
-// The streaming Bias-Heap mode must agree with the sort-based recovery
-// on every point query when built from the same seed.
+// sortBias is the reference implementation of Algorithm 4 line 2:
+// order the buckets by w_i/π_i (ties by id, matching the Bias-Heap's
+// total order), exclude the top and bottom (s−2k)/2, and average the
+// rest — falling back to the global average when the middle is empty.
+func sortBias(e *medianBucketEstimator) float64 {
+	s := len(e.w)
+	ids := make([]int, s)
+	for i := range ids {
+		ids[i] = i
+	}
+	key := func(i int) float64 {
+		if e.pi[i] == 0 {
+			return 0
+		}
+		return e.w[i] / e.pi[i]
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		ka, kb := key(ids[a]), key(ids[b])
+		if ka != kb {
+			return ka < kb
+		}
+		return ids[a] < ids[b]
+	})
+	mid := 2 * e.k
+	topSize := (s - mid) / 2
+	botSize := (s - mid) - topSize
+	var wSum, piSum float64
+	for _, id := range ids[botSize : s-topSize] {
+		wSum += e.w[id]
+		piSum += e.pi[id]
+	}
+	if piSum > 0 {
+		return wSum / piSum
+	}
+	var wTot, piTot float64
+	for i := range e.w {
+		wTot += e.w[i]
+		piTot += e.pi[i]
+	}
+	if piTot > 0 {
+		return wTot / piTot
+	}
+	return 0
+}
+
+// The streaming Bias-Heap must agree with the sort-at-query recovery
+// of Algorithm 4 on the same bucket state — mid-stream, after a merge,
+// and after a state restore.
 func TestBiasHeapMatchesSort(t *testing.T) {
 	const n, k = 5000, 16
 	x := biasedGaussian(n, 77, 9, 13)
-	mkCfg := func(heap bool) L2Config {
-		return L2Config{N: n, K: k, UseBiasHeap: heap}
+	mk := func() *L2SR { return NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(14))) }
+	check := func(l *L2SR, when string) {
+		t.Helper()
+		if got, want := l.Bias(), sortBias(l.est.(*medianBucketEstimator)); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("%s: heap bias %f != sorted bias %f", when, got, want)
+		}
 	}
-	a := NewL2SR(mkCfg(false), rand.New(rand.NewSource(14)))
-	b := NewL2SR(mkCfg(true), rand.New(rand.NewSource(14)))
+	a := mk()
 	for i, v := range x {
 		a.Update(i, v)
-		b.Update(i, v)
 		if i%997 == 0 {
-			// Bias estimates must agree mid-stream, not just at the end.
-			if math.Abs(a.Bias()-b.Bias()) > 1e-9 {
-				t.Fatalf("bias diverged mid-stream at %d: sort %f heap %f", i, a.Bias(), b.Bias())
-			}
+			check(a, fmt.Sprintf("mid-stream at %d", i))
 		}
 	}
-	for i := 0; i < n; i += 31 {
-		if qa, qb := a.Query(i), b.Query(i); math.Abs(qa-qb) > 1e-9 {
-			t.Fatalf("query %d: sort %f != heap %f", i, qa, qb)
-		}
+	check(a, "end of stream")
+
+	b := mk()
+	for i := 0; i < n; i += 7 {
+		b.Update(i, 900)
 	}
+	if err := b.MergeFrom(a); err != nil {
+		t.Fatal(err)
+	}
+	check(b, "after merge")
+
+	est := b.est.(*medianBucketEstimator)
+	state := est.State()
+	for j := range state {
+		state[j] = -state[j] / 3
+	}
+	if err := est.SetState(state); err != nil {
+		t.Fatal(err)
+	}
+	check(b, "after SetState")
 }
 
 // Linearity: merging per-site sketches equals sketching the global
@@ -306,23 +368,21 @@ func TestMergeEqualsWhole(t *testing.T) {
 	})
 
 	t.Run("l2", func(t *testing.T) {
-		for _, heap := range []bool{false, true} {
-			cfg := L2Config{N: n, K: k, UseBiasHeap: heap}
-			whole := NewL2SR(cfg, rand.New(rand.NewSource(17)))
-			feed(whole, global)
-			merged := NewL2SR(cfg, rand.New(rand.NewSource(17)))
-			feed(merged, parts[0])
-			for p := 1; p < sites; p++ {
-				site := NewL2SR(cfg, rand.New(rand.NewSource(17)))
-				feed(site, parts[p])
-				if err := merged.MergeFrom(site); err != nil {
-					t.Fatalf("heap=%v: merge: %v", heap, err)
-				}
+		cfg := L2Config{N: n, K: k}
+		whole := NewL2SR(cfg, rand.New(rand.NewSource(17)))
+		feed(whole, global)
+		merged := NewL2SR(cfg, rand.New(rand.NewSource(17)))
+		feed(merged, parts[0])
+		for p := 1; p < sites; p++ {
+			site := NewL2SR(cfg, rand.New(rand.NewSource(17)))
+			feed(site, parts[p])
+			if err := merged.MergeFrom(site); err != nil {
+				t.Fatalf("merge: %v", err)
 			}
-			for i := 0; i < n; i += 53 {
-				if w, m := whole.Query(i), merged.Query(i); math.Abs(w-m) > 1e-6 {
-					t.Fatalf("heap=%v: query %d: whole %f merged %f", heap, i, w, m)
-				}
+		}
+		for i := 0; i < n; i += 53 {
+			if w, m := whole.Query(i), merged.Query(i); math.Abs(w-m) > 1e-6 {
+				t.Fatalf("query %d: whole %f merged %f", i, w, m)
 			}
 		}
 	})
@@ -351,7 +411,7 @@ func TestTurnstileCancellation(t *testing.T) {
 	const n, k = 2000, 8
 	x := biasedGaussian(n, 60, 5, 21)
 	l1 := NewL1SR(L1Config{N: n, K: k}, rand.New(rand.NewSource(22)))
-	l2 := NewL2SR(L2Config{N: n, K: k, UseBiasHeap: true}, rand.New(rand.NewSource(23)))
+	l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(23)))
 	for i, v := range x {
 		l1.Update(i, v)
 		l2.Update(i, v)
@@ -375,7 +435,7 @@ func TestTurnstileCancellation(t *testing.T) {
 func TestStreamingMidStreamQueries(t *testing.T) {
 	const n, k = 3000, 8
 	r := rand.New(rand.NewSource(24))
-	l2 := NewL2SR(L2Config{N: n, K: k, UseBiasHeap: true}, rand.New(rand.NewSource(25)))
+	l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(25)))
 	prefix := make([]float64, n)
 	for step := 0; step < 60000; step++ {
 		i := r.Intn(n)
@@ -468,7 +528,7 @@ func BenchmarkL1Update(b *testing.B) {
 }
 
 func BenchmarkL2UpdateHeap(b *testing.B) {
-	l := NewL2SR(L2Config{N: 1 << 20, K: 256, UseBiasHeap: true}, rand.New(rand.NewSource(1)))
+	l := NewL2SR(L2Config{N: 1 << 20, K: 256}, rand.New(rand.NewSource(1)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -477,24 +537,11 @@ func BenchmarkL2UpdateHeap(b *testing.B) {
 }
 
 func BenchmarkL2QueryHeap(b *testing.B) {
-	l := NewL2SR(L2Config{N: 1 << 18, K: 256, UseBiasHeap: true}, rand.New(rand.NewSource(1)))
-	for i := 0; i < 1<<18; i++ {
-		l.Update(i, 100)
-	}
-	// Warm the ψ caches once so the benchmark measures queries.
-	l.Query(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Query(i & (1<<18 - 1))
-	}
-}
-
-func BenchmarkL2QuerySort(b *testing.B) {
 	l := NewL2SR(L2Config{N: 1 << 18, K: 256}, rand.New(rand.NewSource(1)))
 	for i := 0; i < 1<<18; i++ {
 		l.Update(i, 100)
 	}
+	// Warm the ψ caches once so the benchmark measures queries.
 	l.Query(0)
 	b.ReportAllocs()
 	b.ResetTimer()

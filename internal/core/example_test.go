@@ -8,13 +8,12 @@ import (
 )
 
 // The basic workflow: stream a biased vector into an ℓ2-S/R sketch,
-// read the bias estimate and point queries in real time.
+// read the bias estimate and point queries in real time. The bias is
+// maintained by the streaming Bias-Heap: O(log s) per update, O(1) per
+// bias read.
 func ExampleL2SR() {
 	const n = 100_000
-	l2 := core.NewL2SR(core.L2Config{
-		N: n, K: 1024,
-		UseBiasHeap: true, // streaming mode: O(log s) updates, O(1) bias
-	}, rand.New(rand.NewSource(7)))
+	l2 := core.NewL2SR(core.L2Config{N: n, K: 1024}, rand.New(rand.NewSource(7)))
 
 	// Every key carries ~500 units (the bias); key 42 is an outlier.
 	r := rand.New(rand.NewSource(8))

@@ -204,15 +204,12 @@ func (l *L1SR) Combine(vals []float64, sc *sketch.QScratch) float64 {
 	return median(vals) + sc.Bias
 }
 
-// PrepareRead precomputes every lazily built, data-independent cache a
-// query touches (the per-row column counts π and the bias estimate's
-// internal cache). The caches are concurrency-safe to build on demand;
-// warming them up front just keeps the first reads of a published
-// replica from paying the O(n·d) π computation.
-func (l *L1SR) PrepareRead() {
-	l.cm.ColumnCounts(0)
-	l.est.Bias()
-}
+// PrepareRead precomputes the lazily built, data-independent cache a
+// query touches: the per-row column counts π. The cache is
+// concurrency-safe to build on demand; warming it up front just keeps
+// the first reads of a published replica from paying the O(n·d) π
+// computation.
+func (l *L1SR) PrepareRead() { l.cm.ColumnCounts(0) }
 
 // AdoptReadCaches copies the seed-determined query caches (π) from a
 // previously prepared replica of the same configuration — "common

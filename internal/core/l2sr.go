@@ -26,13 +26,6 @@ type L2Config struct {
 	// EstimatorSampledMedian is available for the ablation study.
 	Estimator EstimatorKind
 
-	// UseBiasHeap selects the streaming implementation of the
-	// median-bucket estimator (Algorithms 5–6, O(log s) maintenance
-	// per update, O(1) per bias query) instead of the sort-at-query
-	// recovery of Algorithm 4. Both produce identical estimates; see
-	// TestBiasHeapMatchesSort.
-	UseBiasHeap bool
-
 	// SampleCount is used only with EstimatorSampledMedian.
 	SampleCount int
 }
@@ -87,9 +80,11 @@ func (c L2Config) Validate() error {
 // then de-biases the CS rows by β̂·ψ and runs the Count-Sketch
 // reconstruction, adding β̂ back.
 //
-// With UseBiasHeap the bucket ordering is maintained incrementally by
-// the Bias-Heap (Algorithms 5–6), making every point query O(d) after
-// O(log s) per update — the paper's real-time streaming mode.
+// The median-bucket estimator maintains the bucket ordering
+// incrementally with the Bias-Heap (Algorithms 5–6) rather than
+// sorting at query time, making every point query O(d) after O(log s)
+// per update — the paper's real-time streaming mode. Both yield the
+// same β̂; see TestBiasHeapMatchesSort.
 type L2SR struct {
 	cfg  L2Config
 	cs   *sketch.CountSketch
@@ -119,7 +114,7 @@ func NewL2SR(cfg L2Config, r *rand.Rand) *L2SR {
 	}
 	switch cfg.Estimator {
 	case EstimatorMedianBucket:
-		l.est = newMedianBucketEstimator(cfg.N, cfg.Cs*cfg.K, cfg.K, cfg.UseBiasHeap, r)
+		l.est = newMedianBucketEstimator(cfg.N, cfg.Cs*cfg.K, cfg.K, r)
 	case EstimatorMean:
 		l.est = newMeanEstimator(cfg.N)
 	case EstimatorSampledMedian:
@@ -215,15 +210,12 @@ func (l *L2SR) Combine(vals []float64, sc *sketch.QScratch) float64 {
 	return median(vals) + sc.Bias
 }
 
-// PrepareRead precomputes every lazily built, data-independent cache a
-// query touches (the per-row signed column sums ψ and the bias
-// estimate's internal cache). The caches are concurrency-safe to build
-// on demand; warming them up front just keeps the first reads of a
-// published replica from paying the O(n·d) ψ computation.
-func (l *L2SR) PrepareRead() {
-	l.cs.SignedColumnSums(0)
-	l.est.Bias()
-}
+// PrepareRead precomputes the lazily built, data-independent cache a
+// query touches: the per-row signed column sums ψ. The cache is
+// concurrency-safe to build on demand; warming it up front just keeps
+// the first reads of a published replica from paying the O(n·d) ψ
+// computation.
+func (l *L2SR) PrepareRead() { l.cs.SignedColumnSums(0) }
 
 // AdoptReadCaches copies the seed-determined query caches (ψ) from a
 // previously prepared replica of the same configuration — "common

@@ -28,9 +28,6 @@ func queryBatchCases() []struct {
 			return NewL1SR(L1Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
 		}},
 		{"l2sr-heap", func(seed int64) biasBatchQuerier {
-			return NewL2SR(L2Config{N: n, K: 64, UseBiasHeap: true}, rand.New(rand.NewSource(seed)))
-		}},
-		{"l2sr-sort", func(seed int64) biasBatchQuerier {
 			return NewL2SR(L2Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
 		}},
 		{"l1mean", func(seed int64) biasBatchQuerier {
@@ -77,7 +74,7 @@ func TestBiasAwareQueryBatchMatchesElementwise(t *testing.T) {
 // An invalid query batch panics before out is written, and querying —
 // batched or not — leaves the bias estimate untouched.
 func TestBiasAwareQueryBatchValidates(t *testing.T) {
-	l2 := NewL2SR(L2Config{N: 100, K: 4, UseBiasHeap: true}, rand.New(rand.NewSource(83)))
+	l2 := NewL2SR(L2Config{N: 100, K: 4}, rand.New(rand.NewSource(83)))
 	for i := 0; i < 100; i++ {
 		l2.Update(i, 5)
 	}
@@ -106,9 +103,8 @@ func TestBiasAwareQueryBatchValidates(t *testing.T) {
 }
 
 // Concurrent QueryBatch on a quiescent sketch must be safe even when
-// the lazy query caches (π/ψ, the sort-estimator bias cache) are still
-// cold — the batched-read contract holds without any PrepareRead
-// warm-up. Exercised under -race; all readers must agree.
+// the lazy query caches (π/ψ) are still cold — the batched-read
+// contract holds without any PrepareRead warm-up. Exercised under -race; all readers must agree.
 func TestConcurrentColdCacheQueryBatch(t *testing.T) {
 	const n = 10000
 	for _, tc := range queryBatchCases() {

@@ -14,9 +14,13 @@ import (
 )
 
 // BiasedSketch is the query surface detection needs; both core.L1SR
-// and core.L2SR satisfy it.
+// and core.L2SR satisfy it. Scan and TopK recover the full vector
+// through QueryBatch in chunks: that read-heavy shape is exactly what
+// the row-major batch path accelerates, and QueryBatch is
+// bit-identical to the Query loop, so results never depend on it.
 type BiasedSketch interface {
 	Query(i int) float64
+	QueryBatch(idx []int, out []float64)
 	Bias() float64
 	Dim() int
 }
@@ -28,32 +32,15 @@ type Deviator struct {
 	Deviation float64 // |x̂_i − β̂|
 }
 
-// batchQuerier matches sketches with a native batched query path — the
-// sketch.BatchQuerier capability, restated structurally so this
-// package keeps zero sketch dependencies. Scan and TopK drive it in
-// chunks: the full-vector recovery they perform is exactly the
-// read-heavy shape the row-major batch path accelerates, and QueryBatch
-// is bit-identical to the Query loop, so results never change.
-type batchQuerier interface {
-	QueryBatch(idx []int, out []float64)
-}
-
 // scanChunk is the batch size of the chunked full-vector scans: large
 // enough to amortize per-row hash-coefficient loads, small enough that
 // the per-chunk scratch stays cache-resident.
 const scanChunk = 1024
 
 // forEachEstimate calls visit(i, x̂_i) for every coordinate, through
-// the sketch's batched query path when it has one.
+// the sketch's batched query path.
 func forEachEstimate(s BiasedSketch, visit func(i int, est float64)) {
 	n := s.Dim()
-	bq, ok := s.(batchQuerier)
-	if !ok {
-		for i := 0; i < n; i++ {
-			visit(i, s.Query(i))
-		}
-		return
-	}
 	idx := make([]int, scanChunk)
 	out := make([]float64, scanChunk)
 	for base := 0; base < n; base += scanChunk {
@@ -64,7 +51,7 @@ func forEachEstimate(s BiasedSketch, visit func(i int, est float64)) {
 		for j := 0; j < m; j++ {
 			idx[j] = base + j
 		}
-		bq.QueryBatch(idx[:m], out[:m])
+		s.QueryBatch(idx[:m], out[:m])
 		for j := 0; j < m; j++ {
 			visit(base+j, out[j])
 		}
@@ -73,8 +60,7 @@ func forEachEstimate(s BiasedSketch, visit func(i int, est float64)) {
 
 // Scan queries every coordinate and returns those whose estimated
 // deviation from the bias exceeds threshold, sorted by decreasing
-// deviation (ties by index). O(n) point queries, batched when the
-// sketch supports it.
+// deviation (ties by index). O(n) point queries, batched.
 func Scan(s BiasedSketch, threshold float64) []Deviator {
 	beta := s.Bias()
 	var out []Deviator
@@ -88,9 +74,8 @@ func Scan(s BiasedSketch, threshold float64) []Deviator {
 }
 
 // TopK returns the k coordinates with the largest estimated deviation
-// from the bias, sorted by decreasing deviation. O(n) point queries —
-// batched when the sketch supports it — with an O(k)-size selection
-// heap.
+// from the bias, sorted by decreasing deviation. O(n) batched point
+// queries with an O(k)-size selection heap.
 func TopK(s BiasedSketch, k int) []Deviator {
 	if k <= 0 {
 		return nil

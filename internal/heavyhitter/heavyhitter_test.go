@@ -21,7 +21,7 @@ func plant(n int, seed int64, outliers map[int]float64) []float64 {
 }
 
 func buildL2(x []float64, k int, seed int64) *core.L2SR {
-	l2 := core.NewL2SR(core.L2Config{N: len(x), K: k, UseBiasHeap: true},
+	l2 := core.NewL2SR(core.L2Config{N: len(x), K: k},
 		rand.New(rand.NewSource(seed)))
 	sketch.SketchVector(l2, x)
 	return l2
@@ -89,7 +89,7 @@ func TestTopKDegenerate(t *testing.T) {
 
 func TestTrackerFindsStreamedOutliers(t *testing.T) {
 	const n, k = 10_000, 256
-	l2 := core.NewL2SR(core.L2Config{N: n, K: k, UseBiasHeap: true},
+	l2 := core.NewL2SR(core.L2Config{N: n, K: k},
 		rand.New(rand.NewSource(9)))
 	tr := NewTracker(l2, 5_000, 64)
 	r := rand.New(rand.NewSource(10))
@@ -124,7 +124,7 @@ func TestTrackerFindsStreamedOutliers(t *testing.T) {
 
 func TestTrackerEviction(t *testing.T) {
 	const n = 1000
-	l2 := core.NewL2SR(core.L2Config{N: n, K: 32, UseBiasHeap: true},
+	l2 := core.NewL2SR(core.L2Config{N: n, K: 32},
 		rand.New(rand.NewSource(11)))
 	tr := NewTracker(l2, 10, 3)
 	// Make five coordinates deviate, in increasing magnitude.
@@ -161,6 +161,12 @@ type exactSketch struct {
 func (e exactSketch) Query(i int) float64 { return e.x[i] }
 func (e exactSketch) Bias() float64       { return e.beta }
 func (e exactSketch) Dim() int            { return len(e.x) }
+
+func (e exactSketch) QueryBatch(idx []int, out []float64) {
+	for j, i := range idx {
+		out[j] = e.x[i]
+	}
+}
 
 func TestScanExactTieBreak(t *testing.T) {
 	e := exactSketch{x: []float64{0, 5, -5, 9, 0}, beta: 0}
@@ -202,7 +208,7 @@ func BenchmarkScan(b *testing.B) {
 
 func BenchmarkTrackerObserve(b *testing.B) {
 	const n = 100_000
-	l2 := core.NewL2SR(core.L2Config{N: n, K: 256, UseBiasHeap: true},
+	l2 := core.NewL2SR(core.L2Config{N: n, K: 256},
 		rand.New(rand.NewSource(14)))
 	tr := NewTracker(l2, 1e5, 128)
 	b.ResetTimer()

@@ -294,7 +294,7 @@ func init() {
 		Linear: true, Bias: true,
 		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
 			return core.NewL2SR(core.L2Config{
-				N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, UseBiasHeap: true,
+				N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D,
 			}, rand.New(rand.NewSource(sh.Seed))), nil
 		},
 	})

@@ -3,7 +3,6 @@ package registry
 import (
 	"testing"
 
-	"repro/internal/sketch"
 	"repro/internal/stream"
 )
 
@@ -133,19 +132,6 @@ func TestStateCoversAllPaperAlgorithms(t *testing.T) {
 	}
 	if _, err := State(ex); err == nil {
 		t.Error("State(exact) should report not serializable")
-	}
-}
-
-// Every registry algorithm carries the batched ingestion capability.
-func TestEveryEntryImplementsBatchUpdater(t *testing.T) {
-	for _, name := range Names() {
-		sk, err := SafeNew(name, Shape{N: 1000, S: 64, D: 5, Seed: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if _, ok := sk.(sketch.BatchUpdater); !ok {
-			t.Errorf("%s (%T) does not implement sketch.BatchUpdater", name, sk)
-		}
 	}
 }
 

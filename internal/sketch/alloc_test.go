@@ -14,8 +14,8 @@ import (
 // The runtime half of the //sketch:hotpath contract (the lexical half
 // is enforced by the hotpathalloc analyzer in cmd/sketchlint): after a
 // warm-up pass that grows every reusable buffer and primes the shared
-// scratch pool, the batched ingestion and serving paths of every
-// algorithm run with zero allocations per operation.
+// scratch pool, the point and batched ingestion and serving paths of
+// every algorithm run with zero allocations per operation.
 
 const (
 	allocDim   = 1 << 12
@@ -65,10 +65,12 @@ func TestUpdateBatchAllocFree(t *testing.T) {
 	idx, deltas, _ := allocBatchData(r)
 	for _, group := range []map[string]Sketch{allocSketches(r), allocVariantSketches(r)} {
 		for name, s := range group {
-			b := s.(BatchUpdater)
-			b.UpdateBatch(idx, deltas) // warm-up: grows reusable buffers
-			if n := testing.AllocsPerRun(50, func() { b.UpdateBatch(idx, deltas) }); n != 0 {
+			s.UpdateBatch(idx, deltas) // warm-up: grows reusable buffers
+			if n := testing.AllocsPerRun(50, func() { s.UpdateBatch(idx, deltas) }); n != 0 {
 				t.Errorf("%s: UpdateBatch allocates %.1f per call in steady state", name, n)
+			}
+			if n := testing.AllocsPerRun(50, func() { s.Update(idx[0], deltas[0]) }); n != 0 {
+				t.Errorf("%s: Update allocates %.1f per call in steady state", name, n)
 			}
 		}
 	}
@@ -79,19 +81,22 @@ func TestQueryBatchAllocFree(t *testing.T) {
 	idx, deltas, out := allocBatchData(r)
 	for _, group := range []map[string]Sketch{allocSketches(r), allocVariantSketches(r)} {
 		for name, s := range group {
-			s.(BatchUpdater).UpdateBatch(idx, deltas)
-			b := s.(BatchQuerier)
-			b.QueryBatch(idx, out) // warm-up: primes the scratch pool
-			if n := testing.AllocsPerRun(50, func() { b.QueryBatch(idx, out) }); n != 0 {
+			s.UpdateBatch(idx, deltas)
+			s.QueryBatch(idx, out) // warm-up: primes the scratch pool
+			_ = s.Query(idx[0])
+			if n := testing.AllocsPerRun(50, func() { s.QueryBatch(idx, out) }); n != 0 {
 				t.Errorf("%s: QueryBatch allocates %.1f per call in steady state", name, n)
+			}
+			if n := testing.AllocsPerRun(50, func() { _ = s.Query(idx[0]) }); n != 0 {
+				t.Errorf("%s: Query allocates %.1f per call in steady state", name, n)
 			}
 		}
 	}
 }
 
-// The package-level dispatch helpers must add nothing on top of the
-// native paths: a concrete sketch held in the interface is a pointer,
-// so the dispatch itself stays allocation-free too.
+// The package-level forwarders must add nothing on top of the native
+// paths: a concrete sketch held in the interface is a pointer, so the
+// forwarding call stays allocation-free too.
 func TestDispatchHelpersAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	idx, deltas, out := allocBatchData(r)

@@ -38,10 +38,6 @@ func TestUpdateBatchMatchesElementwise(t *testing.T) {
 	for _, tc := range batchCases(51) {
 		t.Run(tc.name, func(t *testing.T) {
 			batched, seq := tc.mk(), tc.mk()
-			bu, ok := batched.(BatchUpdater)
-			if !ok {
-				t.Fatalf("%T does not implement BatchUpdater", batched)
-			}
 			r := rand.New(rand.NewSource(52))
 			for round := 0; round < 20; round++ {
 				m := 1 + r.Intn(600) // uneven batch sizes, incl. tiny ones
@@ -54,7 +50,7 @@ func TestUpdateBatchMatchesElementwise(t *testing.T) {
 						deltas[j] = -deltas[j]
 					}
 				}
-				bu.UpdateBatch(idx, deltas)
+				batched.UpdateBatch(idx, deltas)
 				for j := range idx {
 					seq.Update(idx[j], deltas[j])
 				}
@@ -83,7 +79,6 @@ func TestUpdateBatchValidatesBeforeTouchingState(t *testing.T) {
 	for _, tc := range batchCases(53) {
 		t.Run(tc.name, func(t *testing.T) {
 			sk := tc.mk()
-			bu := sk.(BatchUpdater)
 			bad := [][2]interface{}{
 				{[]int{1, 2, 20000}, []float64{1, 1, 1}}, // out of range
 				{[]int{1, 2, -1}, []float64{1, 1, 1}},    // negative index
@@ -99,7 +94,7 @@ func TestUpdateBatchValidatesBeforeTouchingState(t *testing.T) {
 							t.Errorf("batch %v/%v should panic", c[0], c[1])
 						}
 					}()
-					bu.UpdateBatch(c[0].([]int), c[1].([]float64))
+					sk.UpdateBatch(c[0].([]int), c[1].([]float64))
 				}()
 			}
 			for i := 0; i < 20000; i += 501 {
@@ -110,27 +105,3 @@ func TestUpdateBatchValidatesBeforeTouchingState(t *testing.T) {
 		})
 	}
 }
-
-// The package-level helper must use the native path when present and
-// fall back to a loop otherwise.
-func TestUpdateBatchHelperFallback(t *testing.T) {
-	cfg := Config{N: 100, Rows: 16, Depth: 3}
-	native := must(NewCountMin(cfg, rand.New(rand.NewSource(54))))
-	plain := &loopOnly{must(NewCountMin(cfg, rand.New(rand.NewSource(54))))}
-	idx := []int{3, 7, 3, 99}
-	deltas := []float64{1, 2, 3, 4}
-	UpdateBatch(native, idx, deltas)
-	UpdateBatch(plain, idx, deltas)
-	for _, i := range idx {
-		if a, b := native.Query(i), plain.Query(i); a != b {
-			t.Fatalf("query %d: native %v, fallback %v", i, a, b)
-		}
-	}
-}
-
-// loopOnly hides the embedded sketch's UpdateBatch so the helper's
-// fallback path is exercised.
-type loopOnly struct{ *CountMin }
-
-func (l *loopOnly) Update(i int, delta float64) { l.CountMin.Update(i, delta) }
-func (l *loopOnly) UpdateBatch()                {} // different arity: not a BatchUpdater

@@ -19,12 +19,41 @@ import (
 )
 
 // Sketch is the common interface: a summary of a frequency vector
-// x ∈ R^n supporting point updates and point queries.
+// x ∈ R^n supporting point updates and point queries, element-wise and
+// batched.
 type Sketch interface {
 	// Update applies x[i] += delta. i must be in [0, Dim()).
 	Update(i int, delta float64)
 	// Query returns an estimate of x[i].
 	Query(i int) float64
+	// UpdateBatch applies x[idx[j]] += deltas[j] for every j and
+	// leaves exactly the state of the equivalent element-wise Update
+	// loop. Implementations validate the whole batch (slice lengths and
+	// index ranges) before touching any counter, so a panic cannot
+	// leave the sketch partially updated.
+	//
+	// Every algorithm in this repository implements it with a
+	// row-major traversal: each row's hash is evaluated over the whole
+	// batch (one coefficient load per row, see hashing.Pairwise.HashMany)
+	// and the row's counters — a few KB — stay cache-hot while
+	// absorbing every element, instead of the whole d·s-word table
+	// being walked per element.
+	UpdateBatch(idx []int, deltas []float64)
+	// QueryBatch writes an estimate of x[idx[j]] into out[j] for every
+	// j, bit-identical to the element-wise Query loop, after validating
+	// the whole batch.
+	//
+	// It uses the same row-major traversal as UpdateBatch: each row's
+	// hash (and sign) coefficients load once per batch and the row's
+	// counters stay cache-hot while every element's bucket is
+	// gathered; the per-element combination step (min / median / bias
+	// correction) then runs over the gathered values.
+	//
+	// Unlike the single-element Query methods — which reuse per-sketch
+	// scratch buffers — QueryBatch borrows its scratch per call, so
+	// concurrent QueryBatch calls on a sketch that is no longer being
+	// written (e.g. a Sharded snapshot replica) are safe.
+	QueryBatch(idx []int, out []float64)
 	// Dim returns n, the dimension of the summarized vector.
 	Dim() int
 	// Words returns the sketch size in 64-bit words, the x-axis of
@@ -32,76 +61,15 @@ type Sketch interface {
 	Words() int
 }
 
-// BatchUpdater is the optional capability of sketches with a native
-// batched ingestion path. UpdateBatch applies x[idx[j]] += deltas[j]
-// for every j and leaves exactly the state of the equivalent
-// element-wise Update loop; implementations validate the whole batch
-// (slice lengths and index ranges) before touching any counter, so a
-// panic cannot leave the sketch partially updated.
-//
-// Every algorithm in this repository implements it with a row-major
-// traversal: each row's hash is evaluated over the whole batch (one
-// coefficient load per row, see hashing.Pairwise.HashMany) and the
-// row's counters — a few KB — stay cache-hot while absorbing every
-// element, instead of the whole d·s-word table being walked per
-// element.
-type BatchUpdater interface {
-	UpdateBatch(idx []int, deltas []float64)
-}
-
-// UpdateBatch feeds a batch through s's native batched path when it
-// has one, or an element-wise loop otherwise.
+// UpdateBatch calls s.UpdateBatch.
 //
 //sketch:hotpath
-func UpdateBatch(s Sketch, idx []int, deltas []float64) {
-	if b, ok := s.(BatchUpdater); ok {
-		b.UpdateBatch(idx, deltas)
-		return
-	}
-	if len(idx) != len(deltas) {
-		panic(fmt.Sprintf("sketch: batch index count %d != delta count %d", len(idx), len(deltas)))
-	}
-	for j, i := range idx {
-		s.Update(i, deltas[j])
-	}
-}
+func UpdateBatch(s Sketch, idx []int, deltas []float64) { s.UpdateBatch(idx, deltas) }
 
-// BatchQuerier is the read-side twin of BatchUpdater: QueryBatch
-// writes an estimate of x[idx[j]] into out[j] for every j, and the
-// results are bit-identical to the element-wise Query loop.
-//
-// Every algorithm in this repository implements it with the same
-// row-major traversal as UpdateBatch: each row's hash (and sign)
-// coefficients load once per batch and the row's counters stay
-// cache-hot while every element's bucket is gathered; the per-element
-// combination step (min / median / bias correction) then runs over the
-// gathered values. The whole batch is validated before out is written.
-//
-// Unlike the single-element Query methods — which reuse per-sketch
-// scratch buffers — QueryBatch implementations allocate their scratch
-// per call, so concurrent QueryBatch calls on a sketch that is no
-// longer being written (e.g. a Sharded snapshot replica) are safe.
-type BatchQuerier interface {
-	QueryBatch(idx []int, out []float64)
-}
-
-// QueryBatch answers a batch of point queries through s's native
-// batched path when it has one, or an element-wise Query loop
-// otherwise. Both paths produce bit-identical results.
+// QueryBatch calls s.QueryBatch.
 //
 //sketch:hotpath
-func QueryBatch(s Sketch, idx []int, out []float64) {
-	if len(idx) != len(out) {
-		panic(fmt.Sprintf("sketch: batch index count %d != output count %d", len(idx), len(out)))
-	}
-	if b, ok := s.(BatchQuerier); ok {
-		b.QueryBatch(idx, out)
-		return
-	}
-	for j, i := range idx {
-		out[j] = s.Query(i)
-	}
-}
+func QueryBatch(s Sketch, idx []int, out []float64) { s.QueryBatch(idx, out) }
 
 // Linear is a sketch with the linearity property Φ(x+y) = Φx + Φy,
 // hence mergeable across distributed sites.
@@ -130,7 +98,10 @@ func Recover(s Sketch) []float64 {
 // non-zero coordinate. A length mismatch returns an error before any
 // update is applied; the public repro.SketchVector delegates here, so
 // the two paths share one behavior.
-func SketchVector(s Sketch, x []float64) error {
+func SketchVector(s interface {
+	Update(i int, delta float64)
+	Dim() int
+}, x []float64) error {
 	if len(x) != s.Dim() {
 		return fmt.Errorf("sketch: vector length %d != sketch dim %d", len(x), s.Dim())
 	}

@@ -318,44 +318,23 @@ func (v *View[S]) Stale() bool {
 	return v.gen != v.owner.gen.Load() || v.snap.Stale()
 }
 
-// Query answers a point query against the view, lock-free, through the
-// replica's batched path as a batch of one (per-call scratch, so
-// concurrent readers never share state).
-func (v *View[S]) Query(i int) float64 {
-	var (
-		idx = [1]int{i}
-		out [1]float64
-	)
-	v.QueryBatch(idx[:], out[:])
-	return out[0]
-}
-
-// batchQuerier matches sketches with a native batched query path — the
-// sketch.BatchQuerier capability, restated structurally so this
-// package keeps zero sketch dependencies.
-type batchQuerier interface {
-	QueryBatch(idx []int, out []float64)
-}
-
-// readPreparer and readCacheAdopter mirror the concurrent package's
-// snapshot warm-up hooks (see concurrent.Refresh).
-type readPreparer interface{ PrepareRead() }
-type readCacheAdopter interface{ AdoptReadCaches(src any) }
+// Query answers a point query against the view, lock-free, as a
+// pooled batch of one (concurrent.QueryPoint), so concurrent readers
+// never share scratch.
+//
+//sketch:hotpath
+func (v *View[S]) Query(i int) float64 { return concurrent.QueryPoint(v.sk, i) }
 
 // QueryBatch answers a batch of point queries against the view,
-// lock-free, through the replica's native batched path when it has one
-// (bit-identical to the Query loop either way).
+// lock-free, through the replica's batched path (bit-identical to the
+// Query loop).
+//
+//sketch:hotpath
 func (v *View[S]) QueryBatch(idx []int, out []float64) {
 	if len(idx) != len(out) {
 		panic(fmt.Sprintf("window: batch index count %d != output count %d", len(idx), len(out)))
 	}
-	if b, ok := any(v.sk).(batchQuerier); ok {
-		b.QueryBatch(idx, out)
-		return
-	}
-	for j, i := range idx {
-		out[j] = v.sk.Query(i)
-	}
+	v.sk.QueryBatch(idx, out)
 }
 
 // View returns a merged replica of the live panes, reusing the
@@ -408,14 +387,11 @@ func (w *Window[S]) refresh() (*View[S], error) {
 	}
 	// Warm the replica's query caches, adopting seed-determined ones
 	// from the outgoing view so successive refreshes share them.
-	if a, ok := any(merged).(readCacheAdopter); ok {
-		if prev := w.view.Load(); prev != nil {
-			a.AdoptReadCaches(any(prev.sk))
-		}
+	var prev any
+	if pv := w.view.Load(); pv != nil {
+		prev = pv.sk
 	}
-	if p, ok := any(merged).(readPreparer); ok {
-		p.PrepareRead()
-	}
+	concurrent.WarmReplica(merged, prev)
 	v := &View[S]{owner: w, sk: merged, gen: gen, snap: snap}
 	w.view.Store(v)
 	return v, nil

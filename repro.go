@@ -150,19 +150,11 @@ type handle struct {
 func (h *handle) Update(i int, delta float64) { h.inner.Update(i, delta) }
 func (h *handle) Query(i int) float64         { return h.inner.Query(i) }
 
-// UpdateBatch forwards to the inner sketch's native batched path
-// (every registry algorithm has one; sketch.UpdateBatch degrades to an
-// element-wise loop for any that does not).
-func (h *handle) UpdateBatch(idx []int, deltas []float64) {
-	sketch.UpdateBatch(h.inner, idx, deltas)
-}
+// UpdateBatch and QueryBatch forward to the inner sketch's native
+// batched paths.
+func (h *handle) UpdateBatch(idx []int, deltas []float64) { h.inner.UpdateBatch(idx, deltas) }
+func (h *handle) QueryBatch(idx []int, out []float64)     { h.inner.QueryBatch(idx, out) }
 
-// QueryBatch forwards to the inner sketch's native batched query path
-// (every registry algorithm has one; sketch.QueryBatch degrades to an
-// element-wise loop for any that does not).
-func (h *handle) QueryBatch(idx []int, out []float64) {
-	sketch.QueryBatch(h.inner, idx, out)
-}
 func (h *handle) Dim() int     { return h.inner.Dim() }
 func (h *handle) Words() int   { return h.inner.Words() }
 func (h *handle) Algo() string { return h.entry.Name }

@@ -12,15 +12,17 @@ race:
 	$(GO) test -race ./internal/concurrent/... ./internal/window/... ./internal/codec/... ./internal/counterbraids/... ./internal/server/... ./internal/distributed/...
 
 # Coverage floors on the packages where a silent gap is most
-# dangerous: the sketch estimators (bit-identical batch paths), the
-# concurrent layer (locks, epochs, snapshot swaps), the sliding-window
-# layer (rotation, expiry, cached views), the wire-format codec
-# (hostile-input validation, checkpoint restore), the Counter Braids
-# structure behind the compressed counter plane (merge carries, state
-# restore ceilings), the serving layer, and the monitoring fabric. The
-# floors sit below current coverage so honest refactors pass while an
-# untested new subsystem fails. CI runs this target.
+# dangerous: the paper's bias-aware sketches and the sketch estimators
+# (bit-identical batch paths), the concurrent layer (locks, epochs,
+# snapshot swaps), the sliding-window layer (rotation, expiry, cached
+# views), the wire-format codec (hostile-input validation, checkpoint
+# restore), the Counter Braids structure behind the compressed counter
+# plane (merge carries, state restore ceilings), the serving layer, and
+# the monitoring fabric. The floors sit below current coverage so
+# honest refactors pass while an untested new subsystem fails. CI runs
+# this target.
 COVER_FLOORS = \
+	./internal/core:85 \
 	./internal/sketch:90 \
 	./internal/concurrent:85 \
 	./internal/window:85 \

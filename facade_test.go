@@ -182,14 +182,17 @@ func TestMergeNotLinear(t *testing.T) {
 
 func TestMergeIncompatible(t *testing.T) {
 	base := []repro.Option{repro.WithDim(100), repro.WithWords(16), repro.WithDepth(3)}
-	a := mustNew(t, "countmin", base...)
-	cases := map[string]repro.Sketch{
-		"different seed":  mustNew(t, "countmin", append(base, repro.WithSeed(5))...),
-		"different algo":  mustNew(t, "countsketch", base...),
-		"different shape": mustNew(t, "countmin", repro.WithDim(100), repro.WithWords(32), repro.WithDepth(3)),
+	other := append(base[:len(base):len(base)], repro.WithSeed(5))
+	cases := map[string][2]repro.Sketch{
+		"different seed":  {mustNew(t, "countmin", base...), mustNew(t, "countmin", other...)},
+		"different algo":  {mustNew(t, "countmin", base...), mustNew(t, "countsketch", base...)},
+		"different shape": {mustNew(t, "countmin", base...), mustNew(t, "countmin", repro.WithDim(100), repro.WithWords(32), repro.WithDepth(3))},
+		"l1sr into l2sr":  {mustNew(t, "l2sr", base...), mustNew(t, "l1sr", base...)},
+		"l2sr into l1sr":  {mustNew(t, "l1sr", base...), mustNew(t, "l2sr", base...)},
+		"l2sr other seed": {mustNew(t, "l2sr", base...), mustNew(t, "l2sr", other...)},
 	}
-	for name, b := range cases {
-		if err := repro.Merge(a, b); !errors.Is(err, repro.ErrIncompatible) {
+	for name, c := range cases {
+		if err := repro.Merge(c[0], c[1]); !errors.Is(err, repro.ErrIncompatible) {
 			t.Errorf("%s: Merge error = %v, want ErrIncompatible", name, err)
 		}
 	}

@@ -35,7 +35,7 @@ func allocCoreBatch(r *rand.Rand) (idx []int, deltas, out []float64) {
 func TestL1SRQueryBatchAllocFree(t *testing.T) {
 	for _, est := range []EstimatorKind{EstimatorSampledMedian, EstimatorMean} {
 		r := rand.New(rand.NewSource(11))
-		l := NewL1SR(L1Config{N: allocDim, K: 16, Estimator: est}, r)
+		l := New(Config{Scheme: L1, N: allocDim, K: 16, Estimator: est}, r)
 		idx, deltas, out := allocCoreBatch(r)
 		l.UpdateBatch(idx, deltas)
 		l.PrepareRead()
@@ -51,7 +51,7 @@ func TestL1SRQueryBatchAllocFree(t *testing.T) {
 
 func TestL2SRQueryBatchAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	l := NewL2SR(L2Config{N: allocDim, K: 16}, r)
+	l := New(Config{Scheme: L2, N: allocDim, K: 16}, r)
 	idx, deltas, out := allocCoreBatch(r)
 	l.UpdateBatch(idx, deltas)
 	l.PrepareRead()
@@ -68,7 +68,7 @@ func TestL2SRQueryBatchAllocFree(t *testing.T) {
 // re-seat buckets without allocating.
 func TestL2SRUpdateBatchAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	l := NewL2SR(L2Config{N: allocDim, K: 16}, r)
+	l := New(Config{Scheme: L2, N: allocDim, K: 16}, r)
 	idx, deltas, _ := allocCoreBatch(r)
 	l.UpdateBatch(idx, deltas)
 	if n := testing.AllocsPerRun(50, func() { l.UpdateBatch(idx, deltas) }); n != 0 {
@@ -88,7 +88,7 @@ func TestL2SRUpdateBatchAllocFree(t *testing.T) {
 // full coverage of the estimator-free path, the mean estimator).
 func TestL1SRUpdateBatchAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	l := NewL1SR(L1Config{N: allocDim, K: 16}, r)
+	l := New(Config{Scheme: L1, N: allocDim, K: 16}, r)
 	sampled := l.est.(*sampleMedianEstimator).bySource
 	idx := make([]int, 0, allocBatch)
 	deltas := make([]float64, 0, allocBatch)
@@ -109,7 +109,7 @@ func TestL1SRUpdateBatchAllocFree(t *testing.T) {
 	}
 
 	rm := rand.New(rand.NewSource(11))
-	lm := NewL1SR(L1Config{N: allocDim, K: 16, Estimator: EstimatorMean}, rm)
+	lm := New(Config{Scheme: L1, N: allocDim, K: 16, Estimator: EstimatorMean}, rm)
 	midx, mdeltas, _ := allocCoreBatch(rm)
 	lm.UpdateBatch(midx, mdeltas)
 	if n := testing.AllocsPerRun(50, func() { lm.UpdateBatch(midx, mdeltas) }); n != 0 {

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// biasBatcher is the surface shared by L1SR and L2SR that the batch
+// biasBatcher is the surface shared by both schemes that the batch
 // equivalence tests exercise.
 type biasBatcher interface {
 	Update(i int, delta float64)
@@ -24,17 +24,17 @@ func TestBiasAwareUpdateBatchMatchesElementwise(t *testing.T) {
 		mk   func(seed int64) biasBatcher
 	}{
 		{"l1sr", func(seed int64) biasBatcher {
-			return NewL1SR(L1Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
+			return New(Config{Scheme: L1, N: n, K: 64}, rand.New(rand.NewSource(seed)))
 		}},
 		{"l2sr-heap", func(seed int64) biasBatcher {
-			return NewL2SR(L2Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
+			return New(Config{Scheme: L2, N: n, K: 64}, rand.New(rand.NewSource(seed)))
 		}},
 		{"l1mean", func(seed int64) biasBatcher {
-			return NewL1SR(L1Config{N: n, K: 64, SampleCount: 1, Estimator: EstimatorMean},
+			return New(Config{Scheme: L1, N: n, K: 64, SampleCount: 1, Estimator: EstimatorMean},
 				rand.New(rand.NewSource(seed)))
 		}},
 		{"l2mean", func(seed int64) biasBatcher {
-			return NewL2SR(L2Config{N: n, K: 64, Estimator: EstimatorMean},
+			return New(Config{Scheme: L2, N: n, K: 64, Estimator: EstimatorMean},
 				rand.New(rand.NewSource(seed)))
 		}},
 	}
@@ -70,7 +70,7 @@ func TestBiasAwareUpdateBatchMatchesElementwise(t *testing.T) {
 // A batch with an invalid index panics before the CM/CS rows or the
 // estimator see anything — the sketch and estimator cannot diverge.
 func TestBiasAwareUpdateBatchAllOrNothing(t *testing.T) {
-	l2 := NewL2SR(L2Config{N: 100, K: 4}, rand.New(rand.NewSource(63)))
+	l2 := New(Config{Scheme: L2, N: 100, K: 4}, rand.New(rand.NewSource(63)))
 	func() {
 		defer func() {
 			if recover() == nil {

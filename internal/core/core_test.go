@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -34,7 +35,7 @@ func feed(s sketch.Sketch, x []float64) {
 }
 
 func TestL1ConfigDefaults(t *testing.T) {
-	l := NewL1SR(L1Config{N: 1000, K: 8}, rand.New(rand.NewSource(1)))
+	l := New(Config{Scheme: L1, N: 1000, K: 8}, rand.New(rand.NewSource(1)))
 	cfg := l.Config()
 	if cfg.Cs != 4 || cfg.Depth != 9 {
 		t.Errorf("defaults: Cs=%d Depth=%d, want 4 and 9", cfg.Cs, cfg.Depth)
@@ -48,62 +49,38 @@ func TestL1ConfigDefaults(t *testing.T) {
 }
 
 func TestL2ConfigDefaults(t *testing.T) {
-	l := NewL2SR(L2Config{N: 1000, K: 8}, rand.New(rand.NewSource(1)))
+	l := New(Config{Scheme: L2, N: 1000, K: 8}, rand.New(rand.NewSource(1)))
 	cfg := l.Config()
 	if cfg.Cs != 4 || cfg.Depth != 9 || cfg.Estimator != EstimatorMedianBucket {
 		t.Errorf("unexpected defaults %+v", cfg)
 	}
 }
 
+// Every case is defaulted first and must still fail validation; the
+// defaults never repair an explicitly invalid value.
 func TestConfigValidation(t *testing.T) {
-	bad := []L1Config{
-		{N: 0, K: 1},
-		{N: 10, K: 0},
-		{N: 10, K: 1, Cs: 2},
-		{N: 10, K: 1, Depth: -1},
-		{N: 10, K: 1, SampleCount: -5},
-		{N: 10, K: 1, Estimator: EstimatorMedianBucket}, // not valid for ℓ1
-	}
-	for _, c := range bad {
-		cc := c.withDefaults()
-		// Put back the explicitly-invalid zero fields the defaults fixed.
-		if c.N == 0 {
-			cc.N = 0
-		}
-		if c.K == 0 {
-			cc.K = 0
-		}
-		if c.Cs == 2 {
-			cc.Cs = 2
-		}
-		if c.Depth == -1 {
-			cc.Depth = -1
-		}
-		if c.SampleCount == -5 {
-			cc.SampleCount = -5
-		}
-		if cc.Validate() == nil {
-			t.Errorf("Validate(%+v) should fail", cc)
-		}
-	}
-	badL2 := []L2Config{
-		{N: 0, K: 1},
-		{N: 10, K: 0},
-		{N: 10, K: 1, Cs: 3},
-	}
-	for _, c := range badL2 {
-		cc := c.withDefaults()
-		if c.N == 0 {
-			cc.N = 0
-		}
-		if c.K == 0 {
-			cc.K = 0
-		}
-		if c.Cs == 3 {
-			cc.Cs = 3
-		}
-		if cc.Validate() == nil {
-			t.Errorf("Validate(%+v) should fail", cc)
+	for _, c := range []Config{
+		{Scheme: L1, N: 0, K: 1},
+		{Scheme: L1, N: -1, K: 1},
+		{Scheme: L1, N: 10, K: 0},
+		{Scheme: L1, N: 10, K: -1},
+		{Scheme: L1, N: 10, K: 1, Cs: 2},
+		{Scheme: L1, N: 10, K: 1, Depth: -1},
+		{Scheme: L1, N: 10, K: 1, SampleCount: -5},
+		{Scheme: L1, N: 10, K: 1, Estimator: EstimatorMedianBucket}, // not valid for ℓ1
+		{Scheme: L2, N: 0, K: 1},
+		{Scheme: L2, N: -1, K: 1},
+		{Scheme: L2, N: 10, K: 0},
+		{Scheme: L2, N: 10, K: -1},
+		{Scheme: L2, N: 10, K: 1, Cs: 3},
+		{Scheme: L2, N: 10, K: 1, Depth: -1},
+		{Scheme: L2, N: 10, K: 1, SampleCount: -5},
+		{Scheme: L2, N: 10, K: 1, Estimator: EstimatorKind(99)},
+		{N: 10, K: 1},            // no scheme
+		{Scheme: 3, N: 10, K: 1}, // unknown scheme
+	} {
+		if c.withDefaults().Validate() == nil {
+			t.Errorf("Validate(%+v) should fail", c)
 		}
 	}
 }
@@ -126,12 +103,12 @@ func TestEstimatorKindString(t *testing.T) {
 // On the paper's own example the bias estimates should land near 100.
 func TestBiasEstimateOnPaperExample(t *testing.T) {
 	x, k := paperExample()
-	l1 := NewL1SR(L1Config{N: len(x), K: k, SampleCount: 101}, rand.New(rand.NewSource(2)))
+	l1 := New(Config{Scheme: L1, N: len(x), K: k, SampleCount: 101}, rand.New(rand.NewSource(2)))
 	feed(l1, x)
 	if b := l1.Bias(); math.Abs(b-100) > 4 {
 		t.Errorf("ℓ1 bias = %f, want ≈100", b)
 	}
-	l2 := NewL2SR(L2Config{N: len(x), K: k}, rand.New(rand.NewSource(3)))
+	l2 := New(Config{Scheme: L2, N: len(x), K: k}, rand.New(rand.NewSource(3)))
 	feed(l2, x)
 	if b := l2.Bias(); math.Abs(b-100) > 60 {
 		// n=10 is tiny; the middle buckets may still include an outlier.
@@ -147,8 +124,8 @@ func TestBiasAwareBeatsClassicalOnBiasedGaussian(t *testing.T) {
 	x := biasedGaussian(n, 100, 15, 4)
 	seedA, seedB := int64(5), int64(6)
 
-	l1 := NewL1SR(L1Config{N: n, K: k, SampleCount: 4 * k}, rand.New(rand.NewSource(seedA)))
-	l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(seedB)))
+	l1 := New(Config{Scheme: L1, N: n, K: k, SampleCount: 4 * k}, rand.New(rand.NewSource(seedA)))
+	l2 := New(Config{Scheme: L2, N: n, K: k}, rand.New(rand.NewSource(seedB)))
 	cm := must(sketch.NewCountMedian(sketch.Config{N: n, Rows: 4 * k, Depth: 10}, rand.New(rand.NewSource(seedA))))
 	cs := must(sketch.NewCountSketch(sketch.Config{N: n, Rows: 4 * k, Depth: 10}, rand.New(rand.NewSource(seedB))))
 	for _, s := range []sketch.Sketch{l1, l2, cm, cs} {
@@ -181,7 +158,7 @@ func TestL1TheoremBound(t *testing.T) {
 	for i := 0; i < k; i++ {
 		x[r.Intn(n)] += 50000 // outliers
 	}
-	l1 := NewL1SR(L1Config{N: n, K: k, Depth: 11, SampleCount: 8 * k}, r)
+	l1 := New(Config{Scheme: L1, N: n, K: k, Depth: 11, SampleCount: 8 * k}, r)
 	feed(l1, x)
 	xhat := sketch.Recover(l1)
 	_, opt := vecmath.MinBetaErrK(x, k, 1)
@@ -203,7 +180,7 @@ func TestL2TheoremBound(t *testing.T) {
 	for i := 0; i < k; i++ {
 		x[r.Intn(n)] += 50000
 	}
-	l2 := NewL2SR(L2Config{N: n, K: k, Depth: 11}, r)
+	l2 := New(Config{Scheme: L2, N: n, K: k, Depth: 11}, r)
 	feed(l2, x)
 	xhat := sketch.Recover(l2)
 	_, opt := vecmath.MinBetaErrK(x, k, 2)
@@ -227,8 +204,8 @@ func TestMeanEstimatorContaminated(t *testing.T) {
 	}
 	x[0], x[1] = 1e12, 1e12
 
-	mean := NewL1SR(L1Config{N: n, K: 2, Estimator: EstimatorMean}, rand.New(rand.NewSource(11)))
-	med := NewL1SR(L1Config{N: n, K: 2, SampleCount: 401}, rand.New(rand.NewSource(12)))
+	mean := New(Config{Scheme: L1, N: n, K: 2, Estimator: EstimatorMean}, rand.New(rand.NewSource(11)))
+	med := New(Config{Scheme: L1, N: n, K: 2, SampleCount: 401}, rand.New(rand.NewSource(12)))
 	feed(mean, x)
 	feed(med, x)
 	if b := med.Bias(); math.Abs(b-50) > 1e-9 {
@@ -290,8 +267,8 @@ func sortBias(e *medianBucketEstimator) float64 {
 func TestBiasHeapMatchesSort(t *testing.T) {
 	const n, k = 5000, 16
 	x := biasedGaussian(n, 77, 9, 13)
-	mk := func() *L2SR { return NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(14))) }
-	check := func(l *L2SR, when string) {
+	mk := func() *SR { return New(Config{Scheme: L2, N: n, K: k}, rand.New(rand.NewSource(14))) }
+	check := func(l *SR, when string) {
 		t.Helper()
 		if got, want := l.Bias(), sortBias(l.est.(*medianBucketEstimator)); math.Abs(got-want) > 1e-9 {
 			t.Fatalf("%s: heap bias %f != sorted bias %f", when, got, want)
@@ -347,13 +324,13 @@ func TestMergeEqualsWhole(t *testing.T) {
 
 	t.Run("l1", func(t *testing.T) {
 		for _, est := range []EstimatorKind{EstimatorSampledMedian, EstimatorMean} {
-			cfg := L1Config{N: n, K: k, Estimator: est, SampleCount: 64}
-			whole := NewL1SR(cfg, rand.New(rand.NewSource(16)))
+			cfg := Config{Scheme: L1, N: n, K: k, Estimator: est, SampleCount: 64}
+			whole := New(cfg, rand.New(rand.NewSource(16)))
 			feed(whole, global)
-			merged := NewL1SR(cfg, rand.New(rand.NewSource(16)))
+			merged := New(cfg, rand.New(rand.NewSource(16)))
 			feed(merged, parts[0])
 			for p := 1; p < sites; p++ {
-				site := NewL1SR(cfg, rand.New(rand.NewSource(16)))
+				site := New(cfg, rand.New(rand.NewSource(16)))
 				feed(site, parts[p])
 				if err := merged.MergeFrom(site); err != nil {
 					t.Fatalf("est %v: merge: %v", est, err)
@@ -368,13 +345,13 @@ func TestMergeEqualsWhole(t *testing.T) {
 	})
 
 	t.Run("l2", func(t *testing.T) {
-		cfg := L2Config{N: n, K: k}
-		whole := NewL2SR(cfg, rand.New(rand.NewSource(17)))
+		cfg := Config{Scheme: L2, N: n, K: k}
+		whole := New(cfg, rand.New(rand.NewSource(17)))
 		feed(whole, global)
-		merged := NewL2SR(cfg, rand.New(rand.NewSource(17)))
+		merged := New(cfg, rand.New(rand.NewSource(17)))
 		feed(merged, parts[0])
 		for p := 1; p < sites; p++ {
-			site := NewL2SR(cfg, rand.New(rand.NewSource(17)))
+			site := New(cfg, rand.New(rand.NewSource(17)))
 			feed(site, parts[p])
 			if err := merged.MergeFrom(site); err != nil {
 				t.Fatalf("merge: %v", err)
@@ -389,19 +366,25 @@ func TestMergeEqualsWhole(t *testing.T) {
 }
 
 func TestMergeIncompatible(t *testing.T) {
-	a := NewL1SR(L1Config{N: 100, K: 4}, rand.New(rand.NewSource(18)))
-	b := NewL1SR(L1Config{N: 100, K: 8}, rand.New(rand.NewSource(18)))
-	if err := a.MergeFrom(b); err == nil {
-		t.Error("merging different K should fail")
-	}
-	c := NewL1SR(L1Config{N: 100, K: 4}, rand.New(rand.NewSource(19)))
-	if err := a.MergeFrom(c); err == nil {
-		t.Error("merging different seeds should fail")
-	}
-	d := NewL2SR(L2Config{N: 100, K: 4}, rand.New(rand.NewSource(20)))
-	e := NewL2SR(L2Config{N: 100, K: 8}, rand.New(rand.NewSource(20)))
-	if err := d.MergeFrom(e); err == nil {
-		t.Error("ℓ2 merging different K should fail")
+	mk := func(cfg Config, seed int64) *SR { return New(cfg, rand.New(rand.NewSource(seed))) }
+	l1 := Config{Scheme: L1, N: 100, K: 4}
+	l2 := Config{Scheme: L2, N: 100, K: 4}
+	l1mean := Config{Scheme: L1, N: 100, K: 4, SampleCount: 1, Estimator: EstimatorMean}
+	cm := must(sketch.NewCountMedian(sketch.Config{N: 100, Rows: 16, Depth: 9}, rand.New(rand.NewSource(24))))
+	for name, pair := range map[string][2]sketch.Linear{
+		"ℓ1 different K":       {mk(l1, 18), mk(Config{Scheme: L1, N: 100, K: 8}, 18)},
+		"ℓ1 different seeds":   {mk(l1, 18), mk(l1, 19)},
+		"ℓ2 different K":       {mk(l2, 20), mk(Config{Scheme: L2, N: 100, K: 8}, 20)},
+		"ℓ2 different seeds":   {mk(l2, 20), mk(l2, 21)},
+		"ℓ1 into ℓ2":           {mk(l2, 22), mk(l1, 22)},
+		"ℓ2 into ℓ1":           {mk(l1, 22), mk(l2, 22)},
+		"l1mean into l1sr":     {mk(l1, 23), mk(l1mean, 23)},
+		"l1sr into l1mean":     {mk(l1mean, 23), mk(l1, 23)},
+		"count-median into ℓ1": {mk(l1, 24), cm},
+	} {
+		if err := pair[0].MergeFrom(pair[1]); !errors.Is(err, sketch.ErrIncompatible) {
+			t.Errorf("%s: err = %v, want ErrIncompatible", name, err)
+		}
 	}
 }
 
@@ -410,8 +393,8 @@ func TestMergeIncompatible(t *testing.T) {
 func TestTurnstileCancellation(t *testing.T) {
 	const n, k = 2000, 8
 	x := biasedGaussian(n, 60, 5, 21)
-	l1 := NewL1SR(L1Config{N: n, K: k}, rand.New(rand.NewSource(22)))
-	l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(23)))
+	l1 := New(Config{Scheme: L1, N: n, K: k}, rand.New(rand.NewSource(22)))
+	l2 := New(Config{Scheme: L2, N: n, K: k}, rand.New(rand.NewSource(23)))
 	for i, v := range x {
 		l1.Update(i, v)
 		l2.Update(i, v)
@@ -435,7 +418,7 @@ func TestTurnstileCancellation(t *testing.T) {
 func TestStreamingMidStreamQueries(t *testing.T) {
 	const n, k = 3000, 8
 	r := rand.New(rand.NewSource(24))
-	l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(25)))
+	l2 := New(Config{Scheme: L2, N: n, K: k}, rand.New(rand.NewSource(25)))
 	prefix := make([]float64, n)
 	for step := 0; step < 60000; step++ {
 		i := r.Intn(n)
@@ -463,12 +446,12 @@ func TestStreamingMidStreamQueries(t *testing.T) {
 }
 
 func TestWordsAccounting(t *testing.T) {
-	l1 := NewL1SR(L1Config{N: 1000, K: 10, SampleCount: 50}, rand.New(rand.NewSource(26)))
+	l1 := New(Config{Scheme: L1, N: 1000, K: 10, SampleCount: 50}, rand.New(rand.NewSource(26)))
 	// d*s + samples = 9*40 + 50.
 	if got := l1.Words(); got != 410 {
 		t.Errorf("ℓ1 Words = %d, want 410", got)
 	}
-	l2 := NewL2SR(L2Config{N: 1000, K: 10}, rand.New(rand.NewSource(27)))
+	l2 := New(Config{Scheme: L2, N: 1000, K: 10}, rand.New(rand.NewSource(27)))
 	// d*s + s = 9*40 + 40.
 	if got := l2.Words(); got != 400 {
 		t.Errorf("ℓ2 Words = %d, want 400", got)
@@ -483,7 +466,7 @@ func TestWordsAccounting(t *testing.T) {
 func TestL2WithSampledMedianEstimator(t *testing.T) {
 	const n, k = 10000, 64
 	x := biasedGaussian(n, 90, 10, 28)
-	l2 := NewL2SR(L2Config{N: n, K: k, Estimator: EstimatorSampledMedian, SampleCount: 256},
+	l2 := New(Config{Scheme: L2, N: n, K: k, Estimator: EstimatorSampledMedian, SampleCount: 256},
 		rand.New(rand.NewSource(29)))
 	feed(l2, x)
 	if b := l2.Bias(); math.Abs(b-90) > 5 {
@@ -502,8 +485,8 @@ func TestErrorIndependentOfBias(t *testing.T) {
 	const n, k = 20000, 32
 	errAt := func(bias float64, seed int64) (float64, float64) {
 		x := biasedGaussian(n, bias, 15, seed)
-		l1 := NewL1SR(L1Config{N: n, K: k, SampleCount: 4 * k}, rand.New(rand.NewSource(seed+100)))
-		l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(seed+200)))
+		l1 := New(Config{Scheme: L1, N: n, K: k, SampleCount: 4 * k}, rand.New(rand.NewSource(seed+100)))
+		l2 := New(Config{Scheme: L2, N: n, K: k}, rand.New(rand.NewSource(seed+200)))
 		feed(l1, x)
 		feed(l2, x)
 		return vecmath.AvgAbsErr(x, sketch.Recover(l1)), vecmath.AvgAbsErr(x, sketch.Recover(l2))
@@ -519,7 +502,7 @@ func TestErrorIndependentOfBias(t *testing.T) {
 }
 
 func BenchmarkL1Update(b *testing.B) {
-	l := NewL1SR(L1Config{N: 1 << 20, K: 256}, rand.New(rand.NewSource(1)))
+	l := New(Config{Scheme: L1, N: 1 << 20, K: 256}, rand.New(rand.NewSource(1)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -528,7 +511,7 @@ func BenchmarkL1Update(b *testing.B) {
 }
 
 func BenchmarkL2UpdateHeap(b *testing.B) {
-	l := NewL2SR(L2Config{N: 1 << 20, K: 256}, rand.New(rand.NewSource(1)))
+	l := New(Config{Scheme: L2, N: 1 << 20, K: 256}, rand.New(rand.NewSource(1)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -537,7 +520,7 @@ func BenchmarkL2UpdateHeap(b *testing.B) {
 }
 
 func BenchmarkL2QueryHeap(b *testing.B) {
-	l := NewL2SR(L2Config{N: 1 << 18, K: 256}, rand.New(rand.NewSource(1)))
+	l := New(Config{Scheme: L2, N: 1 << 18, K: 256}, rand.New(rand.NewSource(1)))
 	for i := 0; i < 1<<18; i++ {
 		l.Update(i, 100)
 	}

@@ -11,9 +11,9 @@ import (
 // read the bias estimate and point queries in real time. The bias is
 // maintained by the streaming Bias-Heap: O(log s) per update, O(1) per
 // bias read.
-func ExampleL2SR() {
+func ExampleSR() {
 	const n = 100_000
-	l2 := core.NewL2SR(core.L2Config{N: n, K: 1024}, rand.New(rand.NewSource(7)))
+	l2 := core.New(core.Config{Scheme: core.L2, N: n, K: 1024}, rand.New(rand.NewSource(7)))
 
 	// Every key carries ~500 units (the bias); key 42 is an outlier.
 	r := rand.New(rand.NewSource(8))
@@ -31,9 +31,9 @@ func ExampleL2SR() {
 
 // ℓ1-S/R with the sampled-median bias estimator; merge two sketches
 // built with shared seeds (the distributed model).
-func ExampleL1SR_mergeFrom() {
-	cfg := core.L1Config{N: 10_000, K: 256, SampleCount: 1024}
-	mk := func() *core.L1SR { return core.NewL1SR(cfg, rand.New(rand.NewSource(3))) }
+func ExampleSR_mergeFrom() {
+	cfg := core.Config{Scheme: core.L1, N: 10_000, K: 256, SampleCount: 1024}
+	mk := func() *core.SR { return core.New(cfg, rand.New(rand.NewSource(3))) }
 
 	siteA, siteB := mk(), mk()
 	for i := 0; i < 10_000; i++ {
@@ -51,9 +51,9 @@ func ExampleL1SR_mergeFrom() {
 }
 
 // The sketch can bound its own error (extension beyond the paper).
-func ExampleL2SR_TailEstimate() {
+func ExampleSR_TailEstimate() {
 	const n = 50_000
-	l2 := core.NewL2SR(core.L2Config{N: n, K: 512}, rand.New(rand.NewSource(1)))
+	l2 := core.New(core.Config{Scheme: core.L2, N: n, K: 512}, rand.New(rand.NewSource(1)))
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < n; i++ {
 		l2.Update(i, 100+r.NormFloat64()*15)

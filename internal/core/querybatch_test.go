@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// biasBatchQuerier is the read surface shared by L1SR and L2SR that
+// biasBatchQuerier is the read surface shared by both schemes that
 // the batched-query equivalence tests exercise.
 type biasBatchQuerier interface {
 	Update(i int, delta float64)
@@ -25,17 +25,17 @@ func queryBatchCases() []struct {
 		mk   func(seed int64) biasBatchQuerier
 	}{
 		{"l1sr", func(seed int64) biasBatchQuerier {
-			return NewL1SR(L1Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
+			return New(Config{Scheme: L1, N: n, K: 64}, rand.New(rand.NewSource(seed)))
 		}},
 		{"l2sr-heap", func(seed int64) biasBatchQuerier {
-			return NewL2SR(L2Config{N: n, K: 64}, rand.New(rand.NewSource(seed)))
+			return New(Config{Scheme: L2, N: n, K: 64}, rand.New(rand.NewSource(seed)))
 		}},
 		{"l1mean", func(seed int64) biasBatchQuerier {
-			return NewL1SR(L1Config{N: n, K: 64, SampleCount: 1, Estimator: EstimatorMean},
+			return New(Config{Scheme: L1, N: n, K: 64, SampleCount: 1, Estimator: EstimatorMean},
 				rand.New(rand.NewSource(seed)))
 		}},
 		{"l2mean", func(seed int64) biasBatchQuerier {
-			return NewL2SR(L2Config{N: n, K: 64, Estimator: EstimatorMean},
+			return New(Config{Scheme: L2, N: n, K: 64, Estimator: EstimatorMean},
 				rand.New(rand.NewSource(seed)))
 		}},
 	}
@@ -74,7 +74,7 @@ func TestBiasAwareQueryBatchMatchesElementwise(t *testing.T) {
 // An invalid query batch panics before out is written, and querying —
 // batched or not — leaves the bias estimate untouched.
 func TestBiasAwareQueryBatchValidates(t *testing.T) {
-	l2 := NewL2SR(L2Config{N: 100, K: 4}, rand.New(rand.NewSource(83)))
+	l2 := New(Config{Scheme: L2, N: 100, K: 4}, rand.New(rand.NewSource(83)))
 	for i := 0; i < 100; i++ {
 		l2.Update(i, 5)
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file adds an extension beyond the paper's API: the ℓ2 sketch
 // can estimate its *own* error scale. Theorem 4 bounds the point-query
@@ -31,16 +34,16 @@ type tailEstimator interface {
 //
 // Combined with Theorem 4, ±C·TailEstimate()/√k is a practical
 // confidence band for point queries.
-func (l *L2SR) TailEstimate() (est float64, ok bool) {
-	te, can := l.est.(tailEstimator)
+func (s *SR) TailEstimate() (est float64, ok bool) {
+	te, can := s.est.(tailEstimator)
 	if !can {
 		return 0, false
 	}
-	sigma2, ok := te.tailSigma2(l.est.Bias())
+	sigma2, ok := te.tailSigma2(s.est.Bias())
 	if !ok {
 		return 0, false
 	}
-	n := float64(l.cfg.N)
+	n := float64(s.cfg.N)
 	return math.Sqrt(n * sigma2), true
 }
 
@@ -63,46 +66,14 @@ func (e *medianBucketEstimator) tailSigma2(beta float64) (float64, bool) {
 	if len(zs) == 0 {
 		return 0, false
 	}
-	ids := make([]int, len(zs))
-	for i := range ids {
-		ids[i] = i
-	}
-	insertionSortByKey(ids, func(i int) float64 { return zs[i] })
+	slices.Sort(zs)
 	var med float64
-	m := len(ids)
+	m := len(zs)
 	if m%2 == 1 {
-		med = zs[ids[m/2]]
+		med = zs[m/2]
 	} else {
-		med = (zs[ids[m/2-1]] + zs[ids[m/2]]) / 2
+		med = (zs[m/2-1] + zs[m/2]) / 2
 	}
 	sigma := 1.4826 * med // Gaussian-consistent MAD scaling
 	return sigma * sigma, true
-}
-
-// insertionSortByKey sorts ids by (key, id); bucket counts are a few
-// thousand at most, and this avoids pulling package sort into the
-// recovery hot path twice. For large s it falls back to a shell-sort
-// style gap sequence to stay O(s^1.3)-ish.
-func insertionSortByKey(ids []int, key func(int) float64) {
-	n := len(ids)
-	gaps := []int{701, 301, 132, 57, 23, 10, 4, 1}
-	for _, gap := range gaps {
-		if gap >= n {
-			continue
-		}
-		for i := gap; i < n; i++ {
-			v := ids[i]
-			kv := key(v)
-			j := i - gap
-			for j >= 0 {
-				kj := key(ids[j])
-				if kj < kv || (kj == kv && ids[j] < v) {
-					break
-				}
-				ids[j+gap] = ids[j]
-				j -= gap
-			}
-			ids[j+gap] = v
-		}
-	}
 }

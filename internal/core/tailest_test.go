@@ -11,7 +11,7 @@ import (
 func TestTailEstimateGaussian(t *testing.T) {
 	const n, k = 50000, 64
 	x := biasedGaussian(n, 100, 15, 1)
-	l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(2)))
+	l2 := New(Config{Scheme: L2, N: n, K: k}, rand.New(rand.NewSource(2)))
 	feed(l2, x)
 	est, ok := l2.TailEstimate()
 	if !ok {
@@ -29,7 +29,7 @@ func TestTailEstimateBiasIndependent(t *testing.T) {
 	const n, k = 30000, 32
 	estAt := func(b float64) float64 {
 		x := biasedGaussian(n, b, 15, 3)
-		l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(4)))
+		l2 := New(Config{Scheme: L2, N: n, K: k}, rand.New(rand.NewSource(4)))
 		feed(l2, x)
 		e, ok := l2.TailEstimate()
 		if !ok {
@@ -54,7 +54,7 @@ func TestTailEstimateRobustToOutliers(t *testing.T) {
 		dirty[r.Intn(n)] += 1e7
 	}
 	estOf := func(x []float64) float64 {
-		l2 := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(7)))
+		l2 := New(Config{Scheme: L2, N: n, K: k}, rand.New(rand.NewSource(7)))
 		feed(l2, x)
 		e, ok := l2.TailEstimate()
 		if !ok {
@@ -73,7 +73,7 @@ func TestTailEstimateRobustToOutliers(t *testing.T) {
 func TestTailEstimateCalibratesError(t *testing.T) {
 	const n, k = 30000, 64
 	x := biasedGaussian(n, 200, 10, 8)
-	l2 := NewL2SR(L2Config{N: n, K: k, Depth: 11}, rand.New(rand.NewSource(9)))
+	l2 := New(Config{Scheme: L2, N: n, K: k, Depth: 11}, rand.New(rand.NewSource(9)))
 	feed(l2, x)
 	est, ok := l2.TailEstimate()
 	if !ok {
@@ -97,7 +97,7 @@ func TestTailEstimateCalibratesError(t *testing.T) {
 func TestTailEstimateUnsupportedEstimators(t *testing.T) {
 	const n, k = 1000, 8
 	for _, kind := range []EstimatorKind{EstimatorMean, EstimatorSampledMedian} {
-		l2 := NewL2SR(L2Config{N: n, K: k, Estimator: kind, SampleCount: 32},
+		l2 := New(Config{Scheme: L2, N: n, K: k, Estimator: kind, SampleCount: 32},
 			rand.New(rand.NewSource(10)))
 		if _, ok := l2.TailEstimate(); ok {
 			t.Errorf("estimator %v should not support TailEstimate", kind)
@@ -111,7 +111,7 @@ func TestTailEstimateUnsupportedEstimators(t *testing.T) {
 func TestTailEstimateHeapMatchesSort(t *testing.T) {
 	const n, k = 5000, 16
 	x := biasedGaussian(n, 60, 8, 11)
-	a := NewL2SR(L2Config{N: n, K: k}, rand.New(rand.NewSource(12)))
+	a := New(Config{Scheme: L2, N: n, K: k}, rand.New(rand.NewSource(12)))
 	feed(a, x)
 	ea, ok := a.TailEstimate()
 	if !ok {
@@ -124,27 +124,5 @@ func TestTailEstimateHeapMatchesSort(t *testing.T) {
 	}
 	if eb := math.Sqrt(n * sigma2); math.Abs(ea-eb) > 1e-9 {
 		t.Errorf("tail estimates differ: sort %f heap %f", eb, ea)
-	}
-}
-
-func TestInsertionSortByKey(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + r.Intn(2000)
-		keys := make([]float64, n)
-		for i := range keys {
-			keys[i] = float64(r.Intn(50)) // force ties
-		}
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
-		insertionSortByKey(ids, func(i int) float64 { return keys[i] })
-		for i := 1; i < n; i++ {
-			ka, kb := keys[ids[i-1]], keys[ids[i]]
-			if ka > kb || (ka == kb && ids[i-1] > ids[i]) {
-				t.Fatalf("trial %d: not sorted at %d", trial, i)
-			}
-		}
 	}
 }

@@ -13,11 +13,11 @@ import (
 	"sort"
 )
 
-// BiasedSketch is the query surface detection needs; both core.L1SR
-// and core.L2SR satisfy it. Scan and TopK recover the full vector
-// through QueryBatch in chunks: that read-heavy shape is exactly what
-// the row-major batch path accelerates, and QueryBatch is
-// bit-identical to the Query loop, so results never depend on it.
+// BiasedSketch is the query surface detection needs; core.SR under
+// either scheme (ℓ1-S/R, ℓ2-S/R) satisfies it. Scan and TopK recover
+// the full vector through QueryBatch in chunks: that read-heavy shape
+// is exactly what the row-major batch path accelerates, and QueryBatch
+// is bit-identical to the Query loop, so results never depend on it.
 type BiasedSketch interface {
 	Query(i int) float64
 	QueryBatch(idx []int, out []float64)

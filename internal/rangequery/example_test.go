@@ -19,7 +19,7 @@ func Example() {
 		if size <= 2048 {
 			return stream.NewExact(size)
 		}
-		return core.NewL2SR(core.L2Config{N: size, K: 512}, r)
+		return core.New(core.Config{Scheme: core.L2, N: size, K: 512}, r)
 	}
 	rq := rangequery.New(n, factory, rand.New(rand.NewSource(1)))
 

@@ -36,7 +36,7 @@ func l2Factory(k int) Factory {
 		if kk < 1 {
 			kk = 1
 		}
-		return core.NewL2SR(core.L2Config{N: size, K: kk}, r)
+		return core.New(core.Config{Scheme: core.L2, N: size, K: kk}, r)
 	}
 }
 

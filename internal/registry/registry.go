@@ -233,18 +233,6 @@ func State(sk sketch.Sketch) (Stateful, error) {
 // and types with no merge surface at all return ErrNotLinear.
 func Merge(dst, src sketch.Sketch) error {
 	switch d := dst.(type) {
-	case *core.L1SR:
-		s, ok := src.(*core.L1SR)
-		if !ok {
-			return sketch.ErrIncompatible
-		}
-		return d.MergeFrom(s)
-	case *core.L2SR:
-		s, ok := src.(*core.L2SR)
-		if !ok {
-			return sketch.ErrIncompatible
-		}
-		return d.MergeFrom(s)
 	case sketch.Linear:
 		s, ok := src.(sketch.Linear)
 		if !ok {
@@ -284,8 +272,8 @@ func init() {
 		Name: L1SR, Legend: "l1-S/R", Aliases: []string{"l1-sr", "l1s/r"},
 		Linear: true, Bias: true,
 		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
-			return core.NewL1SR(core.L1Config{
-				N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: sh.S,
+			return core.New(core.Config{
+				Scheme: core.L1, N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: sh.S,
 			}, rand.New(rand.NewSource(sh.Seed))), nil
 		},
 	})
@@ -293,8 +281,8 @@ func init() {
 		Name: L2SR, Legend: "l2-S/R", Aliases: []string{"l2-sr", "l2s/r"},
 		Linear: true, Bias: true,
 		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
-			return core.NewL2SR(core.L2Config{
-				N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D,
+			return core.New(core.Config{
+				Scheme: core.L2, N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D,
 			}, rand.New(rand.NewSource(sh.Seed))), nil
 		},
 	})
@@ -302,8 +290,8 @@ func init() {
 		Name: L1Mean, Legend: "l1-mean",
 		Linear: true, Bias: true,
 		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
-			return core.NewL1SR(core.L1Config{
-				N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: 1, Estimator: core.EstimatorMean,
+			return core.New(core.Config{
+				Scheme: core.L1, N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: 1, Estimator: core.EstimatorMean,
 			}, rand.New(rand.NewSource(sh.Seed))), nil
 		},
 	})
@@ -311,8 +299,8 @@ func init() {
 		Name: L2Mean, Legend: "l2-mean",
 		Linear: true, Bias: true,
 		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
-			return core.NewL2SR(core.L2Config{
-				N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, Estimator: core.EstimatorMean,
+			return core.New(core.Config{
+				Scheme: core.L2, N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, Estimator: core.EstimatorMean,
 			}, rand.New(rand.NewSource(sh.Seed))), nil
 		},
 	})

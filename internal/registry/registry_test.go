@@ -1,8 +1,10 @@
 package registry
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/sketch"
 	"repro/internal/stream"
 )
 
@@ -148,6 +150,22 @@ func TestMergeDispatch(t *testing.T) {
 	cs, _ := SafeNew(CountSketch, Shape{N: 100, S: 16, D: 3, Seed: 1})
 	if err := Merge(a, cs); err == nil {
 		t.Error("cross-type merge should fail")
+	}
+	// The bias-aware kinds share one Go type, so only the merge's
+	// configuration check keeps schemes and estimators apart.
+	sh := Shape{N: 100, S: 16, D: 3, Seed: 1}
+	for _, pair := range [][2]string{{L1SR, L2SR}, {L2SR, L1SR}, {L1SR, L1Mean}, {L2Mean, L2SR}} {
+		dst, _ := SafeNew(pair[0], sh)
+		src, _ := SafeNew(pair[1], sh)
+		if err := Merge(dst, src); !errors.Is(err, sketch.ErrIncompatible) {
+			t.Errorf("Merge(%s, %s) = %v, want ErrIncompatible", pair[0], pair[1], err)
+		}
+	}
+	l2a, _ := SafeNew(L2SR, sh)
+	l2b, _ := SafeNew(L2SR, sh)
+	l2b.Update(5, 4)
+	if err := Merge(l2a, l2b); err != nil {
+		t.Errorf("Merge(l2sr, l2sr): %v", err)
 	}
 	ex1, _ := SafeNew(Exact, Shape{N: 10, S: 0, D: 0, Seed: 0})
 	ex2, _ := SafeNew(Exact, Shape{N: 10, S: 0, D: 0, Seed: 0})

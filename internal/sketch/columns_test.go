@@ -13,7 +13,7 @@ func TestColumnCountsSumToN(t *testing.T) {
 	cfg := Config{N: 5000, Rows: 64, Depth: 4}
 	cm := must(NewCountMedian(cfg, rand.New(rand.NewSource(1))))
 	for tr := 0; tr < cfg.Depth; tr++ {
-		pi := cm.ColumnCounts(tr)
+		pi := cm.weights()[tr]
 		if len(pi) != cfg.Rows {
 			t.Fatalf("row %d: len(pi) = %d", tr, len(pi))
 		}
@@ -26,22 +26,22 @@ func TestColumnCountsSumToN(t *testing.T) {
 		}
 	}
 	// Cached: same slice on second call.
-	if &cm.ColumnCounts(0)[0] != &cm.ColumnCounts(0)[0] {
-		t.Error("ColumnCounts not cached")
+	if &cm.weights()[0][0] != &cm.weights()[0][0] {
+		t.Error("π not cached")
 	}
 }
 
 // π must agree with the bucket assignment: updating coordinate i by 1
-// lands in bucket BucketIndex(t, i), and that bucket's π counts i.
+// lands in bucket h_t(i), and that bucket's π counts i.
 func TestColumnCountsMatchBucketIndex(t *testing.T) {
 	cfg := Config{N: 300, Rows: 16, Depth: 3}
 	cm := must(NewCountMedian(cfg, rand.New(rand.NewSource(2))))
 	for tr := 0; tr < cfg.Depth; tr++ {
 		counts := make([]float64, cfg.Rows)
 		for i := 0; i < cfg.N; i++ {
-			counts[cm.BucketIndex(tr, i)]++
+			counts[cm.tb.hash.Hash(tr, uint64(i))]++
 		}
-		pi := cm.ColumnCounts(tr)
+		pi := cm.weights()[tr]
 		for b := range counts {
 			if counts[b] != pi[b] {
 				t.Fatalf("row %d bucket %d: recount %f != pi %f", tr, b, counts[b], pi[b])
@@ -59,9 +59,9 @@ func TestColumnCountsViaAllOnes(t *testing.T) {
 		cm.Update(i, 1)
 	}
 	for tr := 0; tr < cfg.Depth; tr++ {
-		pi := cm.ColumnCounts(tr)
+		pi := cm.weights()[tr]
 		for b := 0; b < cfg.Rows; b++ {
-			if got := cm.Bucket(tr, b); got != pi[b] {
+			if got := cm.tb.rows()[tr][b]; got != pi[b] {
 				t.Fatalf("row %d bucket %d: Π·1 = %f != π = %f", tr, b, got, pi[b])
 			}
 		}
@@ -76,36 +76,109 @@ func TestSignedColumnSumsViaAllOnes(t *testing.T) {
 		cs.Update(i, 1)
 	}
 	for tr := 0; tr < cfg.Depth; tr++ {
-		psi := cs.SignedColumnSums(tr)
+		psi := cs.weights()[tr]
 		if len(psi) != cfg.Rows {
 			t.Fatalf("row %d: len(psi) = %d", tr, len(psi))
 		}
 		for b := 0; b < cfg.Rows; b++ {
-			if got := cs.Bucket(tr, b); math.Abs(got-psi[b]) > 1e-12 {
+			if got := cs.tb.rows()[tr][b]; math.Abs(got-psi[b]) > 1e-12 {
 				t.Fatalf("row %d bucket %d: Ψ·1 = %f != ψ = %f", tr, b, got, psi[b])
 			}
 		}
 	}
 }
 
-// ψ must be consistent with SignOf and BucketIndex.
+// ψ must be consistent with the row signs r_t and hashes h_t.
 func TestSignedColumnSumsMatchSigns(t *testing.T) {
 	cfg := Config{N: 500, Rows: 16, Depth: 3}
 	cs := must(NewCountSketch(cfg, rand.New(rand.NewSource(5))))
 	for tr := 0; tr < cfg.Depth; tr++ {
 		sums := make([]float64, cfg.Rows)
 		for i := 0; i < cfg.N; i++ {
-			sums[cs.BucketIndex(tr, i)] += cs.SignOf(tr, i)
-			if s := cs.SignOf(tr, i); s != 1 && s != -1 {
-				t.Fatalf("SignOf(%d,%d) = %f", tr, i, s)
+			s := cs.signs.SignFloat(tr, uint64(i))
+			sums[cs.tb.hash.Hash(tr, uint64(i))] += s
+			if s != 1 && s != -1 {
+				t.Fatalf("r_%d(%d) = %f", tr, i, s)
 			}
 		}
-		psi := cs.SignedColumnSums(tr)
+		psi := cs.weights()[tr]
 		for b := range sums {
 			if sums[b] != psi[b] {
 				t.Fatalf("row %d bucket %d: recomputed %f != psi %f", tr, b, sums[b], psi[b])
 			}
 		}
+	}
+}
+
+// The point and row-major de-biased gathers agree bit for bit with
+// each other and with r_t(i)·(y_t[h_t(i)] − β·w_t[h_t(i)]) computed
+// from the cached weights, on both hash families.
+func TestDebiasedPointMatchesRow(t *testing.T) {
+	const beta = 2.5
+	for _, hk := range []HashKind{HashPairwise, HashTabulation} {
+		cfg := Config{N: 700, Rows: 32, Depth: 5, Hash: hk}
+		r := rand.New(rand.NewSource(9))
+		cm := must(NewCountMedian(cfg, r))
+		cs := must(NewCountSketch(cfg, r))
+		for i := 0; i < cfg.N; i++ {
+			cm.Update(i, float64(i%7))
+			cs.Update(i, float64(i%7))
+		}
+		want := func(d Debiasable, tr, i int) float64 {
+			switch s := d.(type) {
+			case *CountMedian:
+				b := s.tb.hash.Hash(tr, uint64(i))
+				return s.tb.rows()[tr][b] - beta*s.weights()[tr][b]
+			case *CountSketch:
+				b := s.tb.hash.Hash(tr, uint64(i))
+				return s.signs.SignFloat(tr, uint64(i)) * (s.tb.rows()[tr][b] - beta*s.weights()[tr][b])
+			}
+			panic("unreachable")
+		}
+		tile := []int{0, 3, 699, 42, 3}
+		for _, d := range []Debiasable{cm, cs} {
+			d.PrepareWeights()
+			point := make([]float64, cfg.Depth)
+			row := make([]float64, len(tile))
+			sc := GetQScratch(cfg.Depth, len(tile))
+			for tr := 0; tr < cfg.Depth; tr++ {
+				d.DebiasedRow(tr, tile, beta, row, sc)
+				for j, i := range tile {
+					d.DebiasedPoint(i, beta, point)
+					if w := want(d, tr, i); row[j] != w || point[tr] != w {
+						t.Fatalf("%T/%v row %d coord %d: row %v point %v want %v", d, hk, tr, i, row[j], point[tr], w)
+					}
+				}
+			}
+			PutQScratch(sc)
+		}
+	}
+}
+
+// ShareWeights adopts the cache only from a sketch of the same type,
+// shape, and seeds.
+func TestShareWeights(t *testing.T) {
+	cfg := Config{N: 300, Rows: 16, Depth: 3}
+	mk := func(seed int64) (*CountMedian, *CountSketch) {
+		return must(NewCountMedian(cfg, rand.New(rand.NewSource(seed)))),
+			must(NewCountSketch(cfg, rand.New(rand.NewSource(seed))))
+	}
+	cmA, csA := mk(10)
+	cmA.PrepareWeights()
+	csA.PrepareWeights()
+	cmB, csB := mk(10)
+	cmC, csC := mk(11)
+	cmB.ShareWeights(csA) // wrong type: ignored
+	csB.ShareWeights(cmA)
+	cmC.ShareWeights(cmA) // other seeds: ignored
+	csC.ShareWeights(csA)
+	if cmB.pis.Load() != nil || csB.psis.Load() != nil || cmC.pis.Load() != nil || csC.psis.Load() != nil {
+		t.Fatal("weights adopted from an incompatible sketch")
+	}
+	cmB.ShareWeights(cmA)
+	csB.ShareWeights(csA)
+	if cmB.pis.Load() != cmA.pis.Load() || csB.psis.Load() != csA.psis.Load() {
+		t.Fatal("weights not adopted from a compatible sketch")
 	}
 }
 

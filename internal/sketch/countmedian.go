@@ -14,7 +14,7 @@ type CountMedian struct {
 	tb  table
 	buf []float64 // scratch for the per-query median
 
-	pis atomic.Pointer[[][]float64] // cached per-row column counts π (see columns.go)
+	pis atomic.Pointer[[][]float64] // cached per-row column counts π (see debias.go)
 }
 
 // NewCountMedian creates a dense Count-Median sketch with the given

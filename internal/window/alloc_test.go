@@ -23,9 +23,9 @@ import (
 func TestViewQueryAllocFree(t *testing.T) {
 	const n = 10000
 	mk := func() sketch.Sketch {
-		return core.NewL2SR(core.L2Config{N: n, K: 64}, rand.New(rand.NewSource(9)))
+		return core.New(core.Config{Scheme: core.L2, N: n, K: 64}, rand.New(rand.NewSource(9)))
 	}
-	merge := func(dst, src sketch.Sketch) error { return dst.(*core.L2SR).MergeFrom(src.(*core.L2SR)) }
+	merge := func(dst, src sketch.Sketch) error { return dst.(*core.SR).MergeFrom(src.(*core.SR)) }
 	w, err := New(Config{Panes: 2, Shards: 2}, mk, merge)
 	if err != nil {
 		t.Fatal(err)

@@ -405,15 +405,15 @@ func TestRotationRace(t *testing.T) {
 }
 
 // Bias-aware panes: the window must serve the full read surface of a
-// merged L2SR (queries and bias) and agree with a single sketch fed
-// only the live panes' updates.
+// merged ℓ2-S/R sketch (queries and bias) and agree with a single
+// sketch fed only the live panes' updates.
 func TestL2SRWindowMatchesLiveRecount(t *testing.T) {
 	const n = 2000
-	mk := func() *core.L2SR {
-		return core.NewL2SR(core.L2Config{N: n, K: 64},
+	mk := func() *core.SR {
+		return core.New(core.Config{Scheme: core.L2, N: n, K: 64},
 			rand.New(rand.NewSource(5)))
 	}
-	merge := func(dst, src *core.L2SR) error { return dst.MergeFrom(src) }
+	merge := func(dst, src *core.SR) error { return dst.MergeFrom(src) }
 	w, err := New(Config{Panes: 2, Shards: 2}, mk, merge)
 	if err != nil {
 		t.Fatal(err)

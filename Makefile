@@ -9,7 +9,7 @@ test:
 	$(GO) test -shuffle=on ./...
 
 race:
-	$(GO) test -race ./internal/concurrent/... ./internal/window/... ./internal/codec/... ./internal/counterbraids/... ./internal/server/... ./internal/distributed/...
+	$(GO) test -race ./internal/concurrent/... ./internal/window/... ./internal/codec/... ./internal/counterbraids/... ./internal/server/... ./internal/distributed/... ./internal/sketch/... ./internal/core/...
 
 # Coverage floors on the packages where a silent gap is most
 # dangerous: the paper's bias-aware sketches and the sketch estimators

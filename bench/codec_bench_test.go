@@ -7,6 +7,7 @@ package bench_test
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro"
@@ -63,14 +64,48 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkCheckpointSharded(b *testing.B) {
-	s, err := repro.NewSharded(4, "countmin", repro.WithDim(codecDim), repro.WithSeed(7))
+// codecSharded is a 4-shard sketch of 200k updates.
+func codecSharded(b *testing.B, algo string) *repro.Sharded {
+	b.Helper()
+	s, err := repro.NewSharded(4, algo, repro.WithDim(codecDim), repro.WithSeed(7))
 	if err != nil {
 		b.Fatal(err)
 	}
 	for u := 0; u < 200_000; u++ {
 		s.Update(u%4, (u*u+13)%codecDim, 1)
 	}
+	return s
+}
+
+// codecWindowed is a 2-shard, 6-pane window of 200k updates, advanced
+// every 40k.
+func codecWindowed(b *testing.B, algo string) *repro.Windowed {
+	b.Helper()
+	w, err := repro.NewWindowed(2, algo,
+		repro.WithDim(codecDim), repro.WithSeed(7), repro.WithPanes(6))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for u := 0; u < 200_000; u++ {
+		if err := w.Update(u%2, (u*u+13)%codecDim, 1); err != nil {
+			b.Fatal(err)
+		}
+		if u%40_000 == 39_999 {
+			if err := w.Advance(1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return w
+}
+
+// checkpointer is the surface the composite benchmarks drive.
+type checkpointer interface {
+	Checkpoint(w io.Writer) error
+	QueryBatch(idx []int, out []float64) error
+}
+
+func benchCheckpoint(b *testing.B, s checkpointer) {
 	var size bytes.Buffer
 	if err := s.Checkpoint(&size); err != nil {
 		b.Fatal(err)
@@ -84,83 +119,72 @@ func BenchmarkCheckpointSharded(b *testing.B) {
 	}
 }
 
-func BenchmarkRestoreSharded(b *testing.B) {
-	s, err := repro.NewSharded(4, "countmin", repro.WithDim(codecDim), repro.WithSeed(7))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for u := 0; u < 200_000; u++ {
-		s.Update(u%4, (u*u+13)%codecDim, 1)
-	}
+// benchRestore times restore(checkpoint of s). With probes it also
+// times one QueryBatch on the restored sketch, after querying s itself
+// once and keeping it alive, so the restored replica finds its
+// seed-determined query caches already warm in the process.
+func benchRestore(b *testing.B, s checkpointer, restore func(io.Reader) (checkpointer, error), probes []int) {
 	var buf bytes.Buffer
 	if err := s.Checkpoint(&buf); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
+	out := make([]float64, len(probes))
+	if len(probes) > 0 {
+		if err := s.QueryBatch(probes, out); err != nil {
+			b.Fatal(err)
+		}
+		defer runtime.KeepAlive(s)
+	}
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := repro.RestoreSharded(bytes.NewReader(data)); err != nil {
+		r, err := restore(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(probes) == 0 {
+			continue
+		}
+		if err := r.QueryBatch(probes, out); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkCheckpointWindowed(b *testing.B) {
-	w, err := repro.NewWindowed(2, "countmin",
-		repro.WithDim(codecDim), repro.WithSeed(7), repro.WithPanes(6))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for u := 0; u < 200_000; u++ {
-		if err := w.Update(u%2, (u*u+13)%codecDim, 1); err != nil {
-			b.Fatal(err)
-		}
-		if u%40_000 == 39_999 {
-			if err := w.Advance(1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	var size bytes.Buffer
-	if err := w.Checkpoint(&size); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(size.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Checkpoint(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
+func restoreSharded(r io.Reader) (checkpointer, error)  { return repro.RestoreSharded(r) }
+func restoreWindowed(r io.Reader) (checkpointer, error) { return repro.RestoreWindowed(r) }
+
+func BenchmarkCheckpointSharded(b *testing.B) { benchCheckpoint(b, codecSharded(b, "countmin")) }
+
+func BenchmarkRestoreSharded(b *testing.B) {
+	benchRestore(b, codecSharded(b, "countmin"), restoreSharded, nil)
 }
+
+func BenchmarkCheckpointWindowed(b *testing.B) { benchCheckpoint(b, codecWindowed(b, "countmin")) }
 
 func BenchmarkRestoreWindowed(b *testing.B) {
-	w, err := repro.NewWindowed(2, "countmin",
-		repro.WithDim(codecDim), repro.WithSeed(7), repro.WithPanes(6))
-	if err != nil {
-		b.Fatal(err)
+	benchRestore(b, codecWindowed(b, "countmin"), restoreWindowed, nil)
+}
+
+// BenchmarkRestoreFirstQuery times a checkpoint restore plus the first
+// 64-point QueryBatch on the restored sketch — time to serve, per
+// kind. The first read warms the replica's column weights π/ψ; the
+// live source holds them, so they come from the process-wide cache,
+// as for every tenant, shard and pane after the first. The cold build
+// is BenchmarkColumnWeights/cold in internal/sketch.
+func BenchmarkRestoreFirstQuery(b *testing.B) {
+	probes := make([]int, 64)
+	for j := range probes {
+		probes[j] = j * 1543 % codecDim
 	}
-	for u := 0; u < 200_000; u++ {
-		if err := w.Update(u%2, (u*u+13)%codecDim, 1); err != nil {
-			b.Fatal(err)
-		}
-		if u%40_000 == 39_999 {
-			if err := w.Advance(1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := w.Checkpoint(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := repro.RestoreWindowed(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.Run("sharded_l1sr", func(b *testing.B) {
+		benchRestore(b, codecSharded(b, "l1sr"), restoreSharded, probes)
+	})
+	b.Run("sharded_l2sr", func(b *testing.B) {
+		benchRestore(b, codecSharded(b, "l2sr"), restoreSharded, probes)
+	})
+	b.Run("windowed_l2sr", func(b *testing.B) {
+		benchRestore(b, codecWindowed(b, "l2sr"), restoreWindowed, probes)
+	})
 }

@@ -37,7 +37,9 @@ type Heap struct {
 // number of input coordinates hashing to bucket i (the coordinate-wise
 // column sums of Π(g)) and mid is the number of middle buckets kept by
 // the bias estimate (2k in Algorithm 4; Algorithm 5 sets mid = s/2 via
-// its internal k = s/4). Requires 1 <= mid <= s.
+// its internal k = s/4). Requires 1 <= mid <= s. The heap keeps pi
+// itself, not a copy — the caller's π is a shared immutable row — so
+// pi must not be modified afterwards.
 func New(pi []float64, mid int) *Heap {
 	s := len(pi)
 	if s == 0 {
@@ -51,7 +53,7 @@ func New(pi []float64, mid int) *Heap {
 		topSize: (s - mid) / 2,
 		botSize: (s - mid) - (s-mid)/2,
 		w:       make([]float64, s),
-		pi:      append([]float64(nil), pi...),
+		pi:      pi,
 		inA:     make([]bool, s),
 		inC:     make([]bool, s),
 	}

@@ -118,14 +118,6 @@ type readPreparer interface {
 	PrepareRead()
 }
 
-// readCacheAdopter matches sketches that can copy seed-determined
-// query caches from an earlier replica of the same configuration —
-// successive snapshot replicas then share one cache instead of each
-// recomputing it.
-type readCacheAdopter interface {
-	AdoptReadCaches(src any)
-}
-
 // UpdateBatch applies x[idx[j]] += deltas[j] for every j on the slot's
 // shard under a single lock acquisition — one acquire/release per
 // batch instead of per element, the high-throughput ingestion path —
@@ -289,11 +281,7 @@ func (s *Sharded[S]) Refresh() (*Snapshot[S], error) {
 			return nil, fmt.Errorf("concurrent: merging frozen shard %d: %w", i, err)
 		}
 	}
-	var prev any
-	if v := s.view.Load(); v != nil {
-		prev = v.sk
-	}
-	WarmReplica(merged, prev)
+	WarmReplica(merged)
 	snap := &Snapshot[S]{
 		owner:  s,
 		sk:     merged,
@@ -303,16 +291,12 @@ func (s *Sharded[S]) Refresh() (*Snapshot[S], error) {
 	return snap, nil
 }
 
-// WarmReplica readies a freshly merged replica for publication. Replica
-// query caches are seed-determined: it adopts them from prev (the
-// outgoing published replica, or nil) when possible and computes them
-// once otherwise, so refreshes after the first don't pay the O(n·d)
-// warm-up and the first reads of the new replica don't pay the cache
-// construction.
-func WarmReplica(merged, prev any) {
-	if a, ok := merged.(readCacheAdopter); ok && prev != nil {
-		a.AdoptReadCaches(prev)
-	}
+// WarmReplica readies a freshly merged replica for publication, so
+// its first reads don't pay for the lazily built query caches. The
+// caches are seed-determined and shared process-wide (π and ψ live in
+// one per-row cache, see sketch.RowWeights), so warming a replica of
+// an already-warm configuration is a lookup, not an O(n·d) rebuild.
+func WarmReplica(merged any) {
 	if p, ok := merged.(readPreparer); ok {
 		p.PrepareRead()
 	}

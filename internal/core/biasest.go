@@ -19,6 +19,7 @@ import (
 	"repro/internal/biasheap"
 	"repro/internal/hashing"
 	"repro/internal/ost"
+	"repro/internal/sketch"
 )
 
 // Estimator maintains a running estimate of the bias β of the input
@@ -218,7 +219,10 @@ func (e *sampleMedianEstimator) SetState(v []float64) error {
 // average coordinate value inside the middle 2k buckets when buckets
 // are ordered by w_i/π_i. The Bias-Heap keeps that order incrementally
 // (Algorithm 5): O(log s) per update, and Bias() is a pure O(1) read,
-// so concurrent readers of a quiescent sketch share it freely.
+// so concurrent readers of a quiescent sketch share it freely. π is a
+// pure function of g and n, so it is the process-wide shared row of
+// sketch.RowWeights: every estimator drawn from the same seed (shards,
+// replicas, panes, restored checkpoints) reads one immutable slice.
 type medianBucketEstimator struct {
 	g    hashing.Pairwise
 	w    []float64
@@ -236,17 +240,14 @@ func newMedianBucketEstimator(n, s, k int, r *rand.Rand) *medianBucketEstimator 
 	if err != nil {
 		panic(err)
 	}
-	e := &medianBucketEstimator{
-		g:  g,
-		w:  make([]float64, s),
-		pi: make([]float64, s),
-		k:  k,
+	pi := sketch.RowWeights(hashing.Family{H: []hashing.Pairwise{g}}, 0, nil, n)
+	return &medianBucketEstimator{
+		g:    g,
+		w:    make([]float64, s),
+		pi:   pi,
+		k:    k,
+		heap: biasheap.New(pi, 2*k),
 	}
-	for j := 0; j < n; j++ {
-		e.pi[e.g.Hash(uint64(j))]++
-	}
-	e.heap = biasheap.New(e.pi, 2*k)
-	return e
 }
 
 func (e *medianBucketEstimator) Observe(i int, delta float64) {

@@ -249,23 +249,12 @@ func (s *SR) Combine(vals []float64, sc *sketch.QScratch) float64 {
 	return median(vals) + sc.Bias
 }
 
-// PrepareRead precomputes the lazily built, data-independent cache a
-// query touches: the per-row column weights (π or ψ). The cache is
-// concurrency-safe to build on demand; warming it up front just keeps
-// the first reads of a published replica from paying the O(n·d)
-// computation.
+// PrepareRead fetches the data-independent weights a query touches:
+// the per-row column weights (π or ψ). They are shared process-wide
+// (sketch.RowWeights), so a replica of an already-warm configuration
+// only looks them up; warming up front keeps the first reads of a
+// published replica from paying a cold O(n·d) build.
 func (s *SR) PrepareRead() { s.sk.PrepareWeights() }
-
-// AdoptReadCaches copies the seed-determined query caches (π or ψ)
-// from a previously prepared replica of the same configuration —
-// "common knowledge" in the paper's sense — so successive snapshot
-// replicas skip the O(n·d) recompute. A src of another type or shape
-// is ignored.
-func (s *SR) AdoptReadCaches(src any) {
-	if o, ok := src.(*SR); ok {
-		s.sk.ShareWeights(o.sk)
-	}
-}
 
 // Dim returns n.
 func (s *SR) Dim() int { return s.cfg.N }

@@ -155,33 +155,6 @@ func TestDebiasedPointMatchesRow(t *testing.T) {
 	}
 }
 
-// ShareWeights adopts the cache only from a sketch of the same type,
-// shape, and seeds.
-func TestShareWeights(t *testing.T) {
-	cfg := Config{N: 300, Rows: 16, Depth: 3}
-	mk := func(seed int64) (*CountMedian, *CountSketch) {
-		return must(NewCountMedian(cfg, rand.New(rand.NewSource(seed)))),
-			must(NewCountSketch(cfg, rand.New(rand.NewSource(seed))))
-	}
-	cmA, csA := mk(10)
-	cmA.PrepareWeights()
-	csA.PrepareWeights()
-	cmB, csB := mk(10)
-	cmC, csC := mk(11)
-	cmB.ShareWeights(csA) // wrong type: ignored
-	csB.ShareWeights(cmA)
-	cmC.ShareWeights(cmA) // other seeds: ignored
-	csC.ShareWeights(csA)
-	if cmB.pis.Load() != nil || csB.psis.Load() != nil || cmC.pis.Load() != nil || csC.psis.Load() != nil {
-		t.Fatal("weights adopted from an incompatible sketch")
-	}
-	cmB.ShareWeights(cmA)
-	csB.ShareWeights(csA)
-	if cmB.pis.Load() != cmA.pis.Load() || csB.psis.Load() != csA.psis.Load() {
-		t.Fatal("weights not adopted from a compatible sketch")
-	}
-}
-
 func TestCountMinMarshalRoundTrip(t *testing.T) {
 	cfg := Config{N: 200, Rows: 16, Depth: 3}
 	a := must(NewCountMin(cfg, rand.New(rand.NewSource(6))))

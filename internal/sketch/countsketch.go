@@ -19,7 +19,7 @@ type CountSketch struct {
 	buf   []float64
 	sbuf  []float64 // per-row signs, reused across UpdateBatch calls
 
-	psis atomic.Pointer[[][]float64] // cached per-row signed column sums ψ (see debias.go)
+	psis atomic.Pointer[[][]float64] // memo of the shared per-row signed column sums ψ (see debias.go)
 }
 
 // NewCountSketch creates a dense Count-Sketch with the given shape.

@@ -16,9 +16,11 @@ import (
 // sketch with r ≡ 1 and w = π, the column counts of Π(h_t) (bucket
 // occupancies); Algorithm 4 uses the Count-Sketch with its signs r_t
 // and w = ψ, the signed column sums of Ψ(h_t, r_t). The column weights
-// depend only on the hash functions, never on the data, so they are
-// built once and cached — in the distributed model they are "common
-// knowledge" shared alongside the hash seeds (§5.5, footnote 4).
+// depend only on the hash functions, never on the data — in the
+// distributed model they are "common knowledge" shared alongside the
+// hash seeds (§5.5, footnote 4) — so each distinct row is built once
+// per process and shared by every sketch drawn from the same seed
+// (see RowWeights in weights.go).
 
 // Debiasable is a linear sketch whose rows can be de-biased by a
 // scalar β: *CountMedian (w = π) and *CountSketch (r_t, w = ψ).
@@ -37,36 +39,27 @@ type Debiasable interface {
 	// into o (len(o) == len(tile)), using sc.Ints/sc.F1 as tile-width
 	// scratch — the row-major gather of QueryBatchMedian.
 	DebiasedRow(t int, tile []int, beta float64, o []float64, sc *QScratch)
-	// PrepareWeights builds the column-weight cache now, so the first
-	// de-biased read does not pay the O(n·d) computation.
-	PrepareWeights()
-	// ShareWeights adopts src's already-built column weights when src
-	// has the same type, shape, and seeds; otherwise it does nothing.
-	ShareWeights(src Debiasable)
+	// PrepareWeights looks up (building on a process-wide miss) and
+	// returns the per-row column weights, so the first de-biased read
+	// does not pay for them. The rows are shared process-wide with
+	// every sketch of the same shape and seeds and must not be
+	// modified.
+	PrepareWeights() [][]float64
 }
 
-// columnWeights returns the per-row column weights cached in w,
-// building them on first use: w_t[b] = Σ_{j: h_t(j)=b} r_t(j), with
-// r ≡ 1 when signs is nil (π) and r_t = signs (ψ). The weights are
-// pure functions of the hash seeds, so concurrent first readers may
-// compute them redundantly but always install identical values, and
-// later readers see one immutable slice. Callers must not modify it.
+// columnWeights returns the per-row column weights memoized in w,
+// fetching them from the process-wide cache on first use:
+// w_t[b] = Σ_{j: h_t(j)=b} r_t(j), with r ≡ 1 when signs is nil (π)
+// and r_t = signs (ψ). Concurrent first readers install the same
+// shared rows, and later readers see one immutable slice. Callers must
+// not modify it.
 func (tb *table) columnWeights(w *atomic.Pointer[[][]float64], signs *hashing.SignFamily) [][]float64 {
 	if p := w.Load(); p != nil {
 		return *p
 	}
 	ws := make([][]float64, tb.cfg.Depth)
 	for t := range ws {
-		row := make([]float64, tb.cfg.Rows)
-		for j := 0; j < tb.cfg.N; j++ {
-			u := uint64(j)
-			if signs == nil {
-				row[tb.hash.Hash(t, u)]++
-			} else {
-				row[tb.hash.Hash(t, u)] += signs.SignFloat(t, u)
-			}
-		}
-		ws[t] = row
+		ws[t] = RowWeights(tb.hash, t, signs, tb.cfg.N)
 	}
 	w.CompareAndSwap(nil, &ws)
 	return *w.Load()
@@ -124,18 +117,8 @@ func (c *CountMedian) DebiasedRow(t int, tile []int, beta float64, o []float64, 
 	c.tb.debiasedRow(t, tile, beta, c.weights()[t], o, sc)
 }
 
-// PrepareWeights implements Debiasable by building π.
-func (c *CountMedian) PrepareWeights() { c.weights() }
-
-// ShareWeights implements Debiasable: it adopts src's π when src is a
-// Count-Median sketch of the same shape and hash seeds.
-func (c *CountMedian) ShareWeights(src Debiasable) {
-	if o, ok := src.(*CountMedian); ok && c.tb.sameShape(&o.tb) {
-		if p := o.pis.Load(); p != nil {
-			c.pis.Store(p)
-		}
-	}
-}
+// PrepareWeights implements Debiasable by returning π.
+func (c *CountMedian) PrepareWeights() [][]float64 { return c.weights() }
 
 // CheckIndexBatch implements Debiasable.
 func (c *CountMedian) CheckIndexBatch(idx []int, out []float64) {
@@ -178,18 +161,8 @@ func (c *CountSketch) DebiasedRow(t int, tile []int, beta float64, o []float64, 
 	}
 }
 
-// PrepareWeights implements Debiasable by building ψ.
-func (c *CountSketch) PrepareWeights() { c.weights() }
-
-// ShareWeights implements Debiasable: it adopts src's ψ when src is a
-// Count-Sketch of the same shape, hash seeds, and sign seeds.
-func (c *CountSketch) ShareWeights(src Debiasable) {
-	if o, ok := src.(*CountSketch); ok && c.tb.sameShape(&o.tb) && c.signs.Equal(o.signs) {
-		if p := o.psis.Load(); p != nil {
-			c.psis.Store(p)
-		}
-	}
-}
+// PrepareWeights implements Debiasable by returning ψ.
+func (c *CountSketch) PrepareWeights() [][]float64 { return c.weights() }
 
 // CheckIndexBatch implements Debiasable.
 func (c *CountSketch) CheckIndexBatch(idx []int, out []float64) {

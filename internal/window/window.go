@@ -385,13 +385,7 @@ func (w *Window[S]) refresh() (*View[S], error) {
 	if err := w.merge(merged, snap.Sketch()); err != nil {
 		return nil, fmt.Errorf("window: merging open pane: %w", err)
 	}
-	// Warm the replica's query caches, adopting seed-determined ones
-	// from the outgoing view so successive refreshes share them.
-	var prev any
-	if pv := w.view.Load(); pv != nil {
-		prev = pv.sk
-	}
-	concurrent.WarmReplica(merged, prev)
+	concurrent.WarmReplica(merged)
 	v := &View[S]{owner: w, sk: merged, gen: gen, snap: snap}
 	w.view.Store(v)
 	return v, nil

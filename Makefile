@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race cover lint bench-json serve-smoke perfbench-check
+.PHONY: build test race cover lint fuzz-short bench-json serve-smoke perfbench-check
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,31 @@ cover:
 			echo "::error::$$pkg coverage $${pct}% fell below the $${floor}% floor"; fail=1; \
 		fi; \
 	done; exit $$fail
+
+# fuzz-short gives every fuzz target in the module ten seconds — enough
+# to catch a regression in a validation layer; long runs belong in a
+# scheduled job. go test -fuzz takes one target in one package per run,
+# so each entry is package:target. CI runs this target.
+FUZZ_TARGETS = \
+	.:FuzzUnmarshal \
+	.:FuzzMarshalRoundTrip \
+	.:FuzzDecode \
+	.:FuzzNewRange \
+	.:FuzzNewWindowed \
+	.:FuzzDecodeDelta \
+	./internal/codec:FuzzDecodeSketch \
+	./internal/codec:FuzzSketchRoundTrip \
+	./internal/biasheap:FuzzHeapAgainstReference \
+	./internal/vecmath:FuzzMinBetaErrK \
+	./internal/vecmath:FuzzErrKInvariants \
+	./internal/vecmath:FuzzMultiBias
+
+fuzz-short:
+	@set -e; for pt in $(FUZZ_TARGETS); do \
+		pkg=$${pt%%:*}; target=$${pt##*:}; \
+		echo "fuzz $$pkg $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$${target}\$$" -fuzztime 10s $$pkg; \
+	done
 
 # serve-smoke is the end-to-end sketchd drill: build the real binary,
 # boot it on an ephemeral port with a checkpoint directory, ingest and

@@ -11,10 +11,10 @@ import (
 
 // Backend names a counter-plane storage backend — where a sketch's
 // d×s counter table physically lives. Select one at construction with
-// WithBackend, or open a checkpoint file in place with OpenMmap.
+// WithBackend, or at restore with DecodeWith.
 type Backend = sketch.BackendKind
 
-// The four counter-plane backends.
+// The two counter-plane backends.
 const (
 	// BackendDense is the default: a flat in-memory float64 table,
 	// bit-identical to every prior release, allocation-free on the
@@ -27,10 +27,6 @@ const (
 	// decode-at-query (ErrDecodeBudget past the braid's load
 	// threshold).
 	BackendCompressed = sketch.BackendCompressed
-	// BackendMmap serves counters read-only straight out of a
-	// memory-mapped checkpoint file — O(1) time-to-first-query
-	// restores. Obtained from OpenMmap, never from New.
-	BackendMmap = sketch.BackendMmap
 )
 
 // Typed backend errors.
@@ -49,18 +45,14 @@ var (
 	// the braid was loaded past its decodable threshold. The sketch is
 	// still intact and serializable; only queries are unavailable.
 	ErrDecodeBudget = sketch.ErrPlaneDecode
-	// ErrReadOnly is the panic value (wrapped) when an mmap-backed
-	// sketch receives an update or merge: mapped checkpoints are
-	// read-only serving replicas.
-	ErrReadOnly = sketch.ErrReadOnlyPlane
 )
 
 // Backends returns the counter-plane backends the named algorithm
 // supports (nil for unknown names). Every algorithm supports
 // BackendDense; the linear-add table sketches (countmin, countmedian,
-// dengrafiei) also support BackendCompressed; all table sketches
-// support BackendMmap. The bias-aware core algorithms keep their own
-// sample-and-recover state and are dense-only.
+// dengrafiei) also support BackendCompressed. The bias-aware core
+// algorithms keep their own sample-and-recover state and are
+// dense-only.
 func Backends(algo string) []Backend {
 	e, ok := registry.Lookup(algo)
 	if !ok {
@@ -69,9 +61,6 @@ func Backends(algo string) []Backend {
 	bs := []Backend{BackendDense}
 	if e.Compressed {
 		bs = append(bs, BackendCompressed)
-	}
-	if e.Mmap {
-		bs = append(bs, BackendMmap)
 	}
 	return bs
 }
@@ -90,54 +79,13 @@ func BackendOf(s Sketch) Backend {
 	return BackendDense
 }
 
-// WriteSketchFile writes s to path as an aligned wire-format v2
-// checkpoint file — the layout OpenMmap serves in place. The write is
-// atomic (temp file + rename), and the file is also a valid Encode
-// stream: Decode and Unmarshal read it like any other checkpoint.
-func WriteSketchFile(path string, s Sketch) error {
-	h, ok := s.(baser)
-	if !ok {
-		return fmt.Errorf("%w: %T", ErrForeignSketch, s)
-	}
-	if err := codec.WriteSketchFile(path, h.base().desc, h.base().inner); err != nil {
-		return fmt.Errorf("repro: %w", err)
-	}
-	return nil
-}
-
-// OpenMmap maps the checkpoint file at path and serves its sketch
-// directly from the mapped bytes: no counters are decoded into the
-// heap, so the time from open to first query is constant in the sketch
-// size. The sketch is read-only — Query/QueryBatch (and TopK/Bias
-// where the algorithm has them) work; Update and Merge fail with
-// ErrReadOnly.
-//
-// close unmaps the file; the sketch must not be touched after close
-// returns. The file must have been written by WriteSketchFile (or
-// codec.EncodeSketchAligned) and hold an algorithm with mmap
-// capability — see Backends.
-func OpenMmap(path string) (s Sketch, close func() error, err error) {
-	inner, desc, unmap, err := codec.OpenMmapSketch(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("repro: %w", err)
-	}
-	e, ok := registry.Lookup(desc.Algo)
-	if !ok {
-		unmap()
-		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownAlgorithm, desc.Algo)
-	}
-	return wrap(e, inner, desc), unmap, nil
-}
-
 // DecodeWith is Decode with an explicit counter-plane backend for the
 // reconstructed sketch: BackendDense restores exactly like Decode;
 // BackendCompressed re-inserts the decoded counters into a Counter
 // Braids plane (the algorithm must support it — see Backends).
-// BackendMmap is refused: a byte stream has nothing to map — use
-// OpenMmap on a file written by WriteSketchFile.
 func DecodeWith(data []byte, be Backend) (Sketch, error) {
 	r := bytes.NewReader(data)
-	inner, desc, err := codec.DecodeSketchBackend(r, sketch.Backend{Kind: be})
+	inner, desc, err := codec.DecodeSketchBackend(r, be)
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}

@@ -2,17 +2,14 @@ package repro_test
 
 // Backend-equivalence property tests: the counter-plane backends are
 // storage choices, not estimator choices, so for any workload the
-// answers must be bit-identical across them — dense vs a restored
-// mmap checkpoint, dense vs the Counter-Braids-compressed plane below
-// its decoding threshold. The constraint surface (insert-only,
-// read-only, capability gates) is pinned as typed errors.
+// answers must be bit-identical across them — dense vs the
+// Counter-Braids-compressed plane below its decoding threshold. The
+// constraint surface (insert-only, capability gates) is pinned as
+// typed errors.
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro"
@@ -67,12 +64,12 @@ func feedInsertOnly(t *testing.T, sk repro.Sketch, seed int64) {
 
 func TestBackendsMatrix(t *testing.T) {
 	wants := map[string][]repro.Backend{
-		"countmin":      {repro.BackendDense, repro.BackendCompressed, repro.BackendMmap},
-		"countmedian":   {repro.BackendDense, repro.BackendCompressed, repro.BackendMmap},
-		"dengrafiei":    {repro.BackendDense, repro.BackendCompressed, repro.BackendMmap},
-		"countsketch":   {repro.BackendDense, repro.BackendMmap},
-		"cmcu":          {repro.BackendDense, repro.BackendMmap},
-		"cmlcu":         {repro.BackendDense, repro.BackendMmap},
+		"countmin":      {repro.BackendDense, repro.BackendCompressed},
+		"countmedian":   {repro.BackendDense, repro.BackendCompressed},
+		"dengrafiei":    {repro.BackendDense, repro.BackendCompressed},
+		"countsketch":   {repro.BackendDense},
+		"cmcu":          {repro.BackendDense},
+		"cmlcu":         {repro.BackendDense},
 		"l1sr":          {repro.BackendDense},
 		"l2sr":          {repro.BackendDense},
 		"counterbraids": {repro.BackendDense},
@@ -95,10 +92,13 @@ func TestBackendsMatrix(t *testing.T) {
 	}
 }
 
-func TestWithBackendMmapRejectedByNew(t *testing.T) {
-	_, err := repro.New("countmin", repro.WithDim(100), repro.WithBackend(repro.BackendMmap))
+// unknownBackend is a Backend value no backend answers to.
+const unknownBackend = repro.Backend(2)
+
+func TestWithUnknownBackendRejectedByNew(t *testing.T) {
+	_, err := repro.New("countmin", repro.WithDim(100), repro.WithBackend(unknownBackend))
 	if !errors.Is(err, repro.ErrInvalidOption) {
-		t.Fatalf("New with BackendMmap: got %v, want ErrInvalidOption", err)
+		t.Fatalf("New with %v: got %v, want ErrInvalidOption", unknownBackend, err)
 	}
 }
 
@@ -169,164 +169,6 @@ func TestCompressedInsertOnly(t *testing.T) {
 	}
 }
 
-// Backend equivalence, mmap flavor: for every table algorithm, a
-// checkpoint file served by mmap must answer Query and QueryBatch
-// bit-identically to the dense sketch it was written from — and
-// re-serializing the mapped sketch must reproduce the dense wire bytes.
-func TestMmapQueriesBitIdenticalToDense(t *testing.T) {
-	for _, algo := range tableAlgos {
-		t.Run(algo, func(t *testing.T) {
-			dense := newBE(t, algo)
-			feedInsertOnly(t, dense, 17)
-			path := filepath.Join(t.TempDir(), "sk.bas2")
-			if err := repro.WriteSketchFile(path, dense); err != nil {
-				t.Fatalf("WriteSketchFile: %v", err)
-			}
-
-			mapped, closeMap, err := repro.OpenMmap(path)
-			if err != nil {
-				t.Fatalf("OpenMmap: %v", err)
-			}
-			defer closeMap()
-			if got := repro.BackendOf(mapped); got != repro.BackendMmap {
-				t.Fatalf("BackendOf = %v", got)
-			}
-			if mapped.Algo() != dense.Algo() || mapped.Dim() != dense.Dim() {
-				t.Fatalf("descriptor mismatch: %s/%d vs %s/%d",
-					mapped.Algo(), mapped.Dim(), dense.Algo(), dense.Dim())
-			}
-
-			dv, mv := repro.Recover(dense), repro.Recover(mapped)
-			for i := range dv {
-				if dv[i] != mv[i] {
-					t.Fatalf("coordinate %d: dense %v != mmap %v", i, dv[i], mv[i])
-				}
-			}
-			for i := 0; i < beDim; i += 97 {
-				if dense.Query(i) != mapped.Query(i) {
-					t.Fatalf("Query(%d) disagrees", i)
-				}
-			}
-
-			db, err := repro.Marshal(dense)
-			if err != nil {
-				t.Fatalf("Marshal(dense): %v", err)
-			}
-			mb, err := repro.Marshal(mapped)
-			if err != nil {
-				t.Fatalf("Marshal(mmap): %v", err)
-			}
-			if !bytes.Equal(db, mb) {
-				t.Error("re-serialized mmap sketch differs from dense wire bytes")
-			}
-		})
-	}
-}
-
-// A mapped checkpoint is a read-only serving replica: updates panic
-// with the typed read-only error, merges refuse with an error.
-func TestMmapIsReadOnly(t *testing.T) {
-	dense := newBE(t, "countmin")
-	feedInsertOnly(t, dense, 23)
-	path := filepath.Join(t.TempDir(), "sk.bas2")
-	if err := repro.WriteSketchFile(path, dense); err != nil {
-		t.Fatal(err)
-	}
-	mapped, closeMap, err := repro.OpenMmap(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeMap()
-
-	func() {
-		defer func() {
-			r := recover()
-			err, ok := r.(error)
-			if !ok || !errors.Is(err, repro.ErrReadOnly) {
-				t.Errorf("Update on mmap: recovered %v, want ErrReadOnly", r)
-			}
-		}()
-		mapped.Update(1, 1)
-		t.Error("Update on mmap sketch was accepted")
-	}()
-
-	lin, ok := mapped.(repro.Linear)
-	if !ok {
-		t.Fatal("mapped countmin should still expose Merge")
-	}
-	if err := lin.Merge(dense); !errors.Is(err, repro.ErrReadOnly) {
-		t.Errorf("Merge into mmap: got %v, want ErrReadOnly", err)
-	}
-	// The other direction is fine: a mapped sketch is a valid merge
-	// source for a dense receiver.
-	dl := dense.(repro.Linear)
-	if err := dl.Merge(mapped); err != nil {
-		t.Errorf("Merge dense <- mmap: %v", err)
-	}
-}
-
-// OpenMmap must reject what it cannot serve — with errors, never
-// panics: missing files, plain (unaligned) checkpoints, truncated
-// files, and algorithms without mmap capability.
-func TestOpenMmapRejections(t *testing.T) {
-	dir := t.TempDir()
-
-	if _, _, err := repro.OpenMmap(filepath.Join(dir, "absent")); err == nil {
-		t.Error("missing file should error")
-	}
-
-	dense := newBE(t, "countmin")
-	feedInsertOnly(t, dense, 5)
-
-	// A plain Marshal stream is a valid checkpoint but not the aligned
-	// layout; OpenMmap must refuse rather than serve misaligned floats.
-	plain, err := repro.Marshal(dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainPath := filepath.Join(dir, "plain.bas2")
-	if err := os.WriteFile(plainPath, plain, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := repro.OpenMmap(plainPath); err == nil {
-		t.Error("unaligned 2-section container should be refused")
-	}
-
-	// Truncations of a valid aligned file: every prefix must error.
-	alignedPath := filepath.Join(dir, "aligned.bas2")
-	if err := repro.WriteSketchFile(alignedPath, dense); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(alignedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cut := range []int{1, 5, 9, 20, len(full) / 2, len(full) - 1} {
-		p := filepath.Join(dir, "trunc.bas2")
-		if err := os.WriteFile(p, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := repro.OpenMmap(p); err == nil {
-			t.Errorf("truncation to %d bytes should error", cut)
-		}
-	}
-
-	// An algorithm without mmap capability round-trips as a stream but
-	// must be refused by the mapped opener.
-	cb, err := repro.New("counterbraids", repro.WithDim(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb.Update(3, 7)
-	cbPath := filepath.Join(dir, "cb.bas2")
-	if err := repro.WriteSketchFile(cbPath, cb); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := repro.OpenMmap(cbPath); !errors.Is(err, repro.ErrBackendUnsupported) {
-		t.Errorf("OpenMmap(counterbraids): got %v, want ErrBackendUnsupported", err)
-	}
-}
-
 // DecodeWith restores a checkpoint stream onto a chosen backend; the
 // restored answers must match the source regardless of plane.
 func TestDecodeWithBackends(t *testing.T) {
@@ -351,8 +193,8 @@ func TestDecodeWithBackends(t *testing.T) {
 		}
 	}
 
-	if _, err := repro.DecodeWith(blob, repro.BackendMmap); err == nil {
-		t.Error("DecodeWith(mmap) should refuse: streams have no mappable bytes")
+	if _, err := repro.DecodeWith(blob, unknownBackend); err == nil {
+		t.Errorf("DecodeWith(%v) should refuse an unknown backend", unknownBackend)
 	}
 
 	cs := newBE(t, "countsketch")

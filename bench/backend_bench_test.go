@@ -1,9 +1,8 @@
 // Counter-plane backend benchmarks at the public-API level: the cost
-// of each storage choice on the three paths that matter — ingestion
-// (dense vs compressed), serving (all three), and restore. The
-// time-to-first-query benchmark is the mmap backend's reason to
-// exist: opening a checkpoint by mmap is O(1) in the sketch size,
-// while a full decode pays for every cell before the first answer.
+// of each storage choice on the three paths that matter — ingestion,
+// serving, and restore — plus the time from a checkpoint file on disk
+// to the first answered query, where a full decode pays for every cell
+// before the first answer.
 package bench_test
 
 import (
@@ -63,23 +62,10 @@ func BenchmarkBackendQuery(b *testing.B) {
 			serve(b, backendSketch(b, be, feed))
 		})
 	}
-	b.Run(repro.BackendMmap.String(), func(b *testing.B) {
-		path := filepath.Join(b.TempDir(), "sk.bas2")
-		if err := repro.WriteSketchFile(path, backendSketch(b, repro.BackendDense, feed)); err != nil {
-			b.Fatal(err)
-		}
-		sk, closeMap, err := repro.OpenMmap(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer closeMap()
-		serve(b, sk)
-	})
 }
 
 // BenchmarkBackendRestore measures a full checkpoint restore onto each
-// stream-restorable backend (mmap restores from files, not streams —
-// see BenchmarkBackendTimeToFirstQuery). The compressed restore
+// backend. The compressed restore
 // re-inserts every non-zero cell into the braid, trading restore time
 // for resident size.
 func BenchmarkBackendRestore(b *testing.B) {
@@ -102,11 +88,14 @@ func BenchmarkBackendRestore(b *testing.B) {
 
 // BenchmarkBackendTimeToFirstQuery measures restart latency: from a
 // checkpoint file on disk to the first answered query. The decode path
-// reads and materializes every cell; the mmap path maps the file and
-// faults in only the buckets the query touches.
+// reads and materializes every cell.
 func BenchmarkBackendTimeToFirstQuery(b *testing.B) {
+	blob, err := repro.Marshal(backendSketch(b, repro.BackendDense, 100_000))
+	if err != nil {
+		b.Fatal(err)
+	}
 	path := filepath.Join(b.TempDir(), "sk.bas2")
-	if err := repro.WriteSketchFile(path, backendSketch(b, repro.BackendDense, 100_000)); err != nil {
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		b.Fatal(err)
 	}
 	fi, err := os.Stat(path)
@@ -126,19 +115,6 @@ func BenchmarkBackendTimeToFirstQuery(b *testing.B) {
 				b.Fatal(err)
 			}
 			sk.Query(i % 1_000_000)
-		}
-	})
-	b.Run("mmap", func(b *testing.B) {
-		b.SetBytes(fi.Size())
-		for i := 0; i < b.N; i++ {
-			sk, closeMap, err := repro.OpenMmap(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sk.Query(i % 1_000_000)
-			if err := closeMap(); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

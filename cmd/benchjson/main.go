@@ -2,17 +2,17 @@
 // (BENCH_10.json): it runs the curated ingestion/serving/codec
 // benchmarks at the paper's §5.1 shape (s=4096, d=9) with -benchmem
 // and writes the parsed results as stable, machine-readable JSON.
-// Since PR 7 the set includes the counter-plane backend entries
+// The set includes the counter-plane backend entries
 // (BenchmarkBackend*): per-backend update/query/restore costs and the
-// time-to-first-query comparison of an mmap open against a full
-// decode of the same checkpoint file. Since PR 8 it also includes the
-// served ingestion path (BenchmarkIngestEndpoint): one wire-v2 batch
-// per op through the sketchd HTTP handler stack, so the serving tax
-// over the in-process batched path stays visible. Since PR 9 it also
-// includes the distributed-monitoring fabric (BenchmarkMonitorRound):
-// one complete continuous-monitoring run per op, with the custom
-// comm-B/round and comm-words/round metrics comparing delta shipping
-// against the full-state baseline.
+// time from a checkpoint file to the first answered query through a
+// full decode. It also includes the served ingestion path
+// (BenchmarkIngestEndpoint): one wire-v2 batch per op through the
+// sketchd HTTP handler stack, so the serving tax over the in-process
+// batched path stays visible. And it includes the
+// distributed-monitoring fabric (BenchmarkMonitorRound): one complete
+// continuous-monitoring run per op, with the custom comm-B/round and
+// comm-words/round metrics comparing delta shipping against the
+// full-state baseline.
 //
 // The update/query benchmarks count one vector element per op, so
 // ns/op is already normalized per element and directly comparable
@@ -122,8 +122,8 @@ func main() {
 	doc := Baseline{
 		Note: "ns/op on Update/Query paths is per vector element (batched benchmarks consume one element per op); " +
 			"allocs/op on batched and snapshot paths is pinned to 0 by the //sketch:hotpath contract. " +
-			"BenchmarkBackend* entries compare counter-plane backends (dense/compressed/mmap); " +
-			"BenchmarkBackendTimeToFirstQuery is restart latency from a checkpoint file (full decode vs mmap). " +
+			"BenchmarkBackend* entries compare counter-plane backends (dense/compressed); " +
+			"BenchmarkBackendTimeToFirstQuery is restart latency from a checkpoint file (full decode). " +
 			"BenchmarkIngestEndpoint is one 512-element wire-v2 batch per op through the sketchd HTTP stack " +
 			"(divide ns/op by 512 for the per-element serving cost). " +
 			"BenchmarkMonitorRound is one complete distributed-monitoring run per op on a skewed 64-site workload; " +

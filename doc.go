@@ -34,8 +34,8 @@
 // accepted aliases. All follow the paper's equal-words protocol, so at
 // one (words, depth) setting every algorithm costs the same memory.
 //
-// Capabilities are layered as interfaces — Sketch (update/query),
-// BatchUpdater (adds batched ingestion), Linear (adds Merge),
+// Capabilities are layered as interfaces — Sketch (point and batched
+// update/query), Linear (adds Merge),
 // Serializable (adds the wire format), Biased (adds the β̂ estimate) —
 // and as package-level helpers returning typed errors where a
 // capability is absent: Merge (ErrNotLinear on the conservative-update
@@ -115,12 +115,9 @@
 // ErrInsertOnly), decoded at query time (an overloaded braid fails
 // with ErrDecodeBudget rather than answering wrong), and worth it
 // when resident size dominates — Words reports the smaller footprint.
-// BackendMmap is read-only serving: WriteSketchFile writes an
-// 8-byte-aligned wire-v2 checkpoint atomically, OpenMmap maps it and
-// answers queries directly from the mapped cells — time-to-first-query
-// is O(1) in the sketch size, writes fail with ErrReadOnly. Backends
-// are a storage choice, not a sketch identity: a dense and an mmap
-// copy of the same sketch merge and answer identically, DecodeWith
+// Backends are a storage choice, not a sketch identity: a dense and a
+// compressed copy of the same sketch merge and answer identically
+// (below the braid's load threshold), DecodeWith
 // restores a checkpoint onto a chosen backend, and Backends reports
 // which backends an algorithm supports (sign-carrying and
 // conservative-update planes reject BackendCompressed with

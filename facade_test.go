@@ -357,9 +357,6 @@ func TestUpdateBatchMatchesElementwiseEveryAlgorithm(t *testing.T) {
 		}
 		batched := mustNew(t, algo, opts...)
 		seq := mustNew(t, algo, opts...)
-		if _, ok := batched.(repro.BatchUpdater); !ok {
-			t.Fatalf("%s: facade sketch does not satisfy repro.BatchUpdater", algo)
-		}
 		r := rand.New(rand.NewSource(22))
 		for round := 0; round < 10; round++ {
 			m := 1 + r.Intn(700)
@@ -400,26 +397,6 @@ func TestUpdateBatchLengthMismatch(t *testing.T) {
 		if s.Query(i) != 0 {
 			t.Fatalf("sketch modified despite mismatch: Query(%d) = %f", i, s.Query(i))
 		}
-	}
-}
-
-// foreignSketch is a Sketch implementation from outside the module
-// with no native batched path; the helper must loop for it.
-type foreignSketch struct{ x []float64 }
-
-func (f *foreignSketch) Update(i int, delta float64) { f.x[i] += delta }
-func (f *foreignSketch) Query(i int) float64         { return f.x[i] }
-func (f *foreignSketch) Dim() int                    { return len(f.x) }
-func (f *foreignSketch) Words() int                  { return len(f.x) }
-func (f *foreignSketch) Algo() string                { return "foreign" }
-
-func TestUpdateBatchFallsBackForForeignSketch(t *testing.T) {
-	f := &foreignSketch{x: make([]float64, 10)}
-	if err := repro.UpdateBatch(f, []int{2, 2, 9}, []float64{1, 2, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if f.x[2] != 3 || f.x[9] != 4 {
-		t.Fatalf("fallback loop lost updates: %v", f.x)
 	}
 }
 

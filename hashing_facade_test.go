@@ -3,14 +3,13 @@ package repro_test
 // Facade-level coverage for the hash-family surface: WithHashing
 // validation, Hashings listings, the batch ≡ element-wise equivalence
 // under tabulation, and checkpoint round-trips that must carry the family
-// through every container — single sketches, mmap files, Sharded,
-// Windowed, and Monitor.
+// through every container — single sketches, Sharded, Windowed, and
+// Monitor.
 
 import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"repro"
@@ -133,26 +132,6 @@ func TestTabulationCheckpointRoundTrip(t *testing.T) {
 			}
 		}
 
-		// Mmap restore path: the mapped replica serves the same answers.
-		path := filepath.Join(t.TempDir(), algo+".sk")
-		if err := repro.WriteSketchFile(path, orig); err != nil {
-			t.Fatalf("%s: WriteSketchFile: %v", algo, err)
-		}
-		mm, closeMM, err := repro.OpenMmap(path)
-		if err != nil {
-			t.Fatalf("%s: OpenMmap: %v", algo, err)
-		}
-		if h := repro.HashingOf(mm); h != repro.HashTabulation {
-			t.Errorf("%s: mmap replica lost the family: %v", algo, h)
-		}
-		for i := 0; i < hfDim; i += 97 {
-			if a, b := orig.Query(i), mm.Query(i); a != b {
-				t.Fatalf("%s: mmap replica diverges at %d: %v vs %v", algo, i, a, b)
-			}
-		}
-		if err := closeMM(); err != nil {
-			t.Fatalf("%s: close mmap: %v", algo, err)
-		}
 	}
 }
 

@@ -72,13 +72,14 @@ const (
 	secWindowMeta = 5  // panes, pane width, open-pane sequence, closed-pane sequences
 	secRangeMeta  = 6  // base dimension + level count
 	secNested     = 7  // an embedded v2 container
-	secPad        = 8  // alignment padding (zero bytes) so mmap'd state starts 8-aligned
+	secPad        = 8  // zero padding in earlier builds' aligned files: never written, skipped on decode forever
 	secBatch      = 9  // u32 element count + count × (u64 index, f64 delta)
 	secDeltaMeta  = 10 // delta frame: flags + shard count + entry count + (shard, epoch) pairs
 )
 
-// maxPad bounds a pad section: padding exists only to 8-align the
-// following state payload, so it is always under 8 bytes.
+// maxPad bounds a pad section: padding existed only to 8-align the
+// following state payload, so it never needs 8 bytes or more; the
+// decoder tolerates up to maxPad.
 const maxPad = 8
 
 // Decode-side bounds. They reject absurd structure counts before any
@@ -126,8 +127,8 @@ type Desc struct {
 	// Backend records which counter-plane backend the sketch was
 	// reconstructed on. It is in-memory metadata only — never
 	// serialized, always the dense zero value on descriptors read from
-	// a stream — set by DecodeSketchBackend and OpenMmapSketch so
-	// callers can see how a restored sketch is stored.
+	// a stream — set by DecodeSketchBackend so callers can see how a
+	// restored sketch is stored.
 	Backend sketch.BackendKind
 }
 
@@ -490,17 +491,28 @@ func encodeSketchSections(w io.Writer, desc Desc, tag byte, payload []byte, allo
 // and restoring its state. Trailing bytes after the container are left
 // unread, so containers compose on a stream.
 func DecodeSketch(r io.Reader) (sketch.Sketch, Desc, error) {
+	return DecodeSketchBackend(r, sketch.BackendDense)
+}
+
+// DecodeSketchBackend is DecodeSketch constructing the sketch on the
+// given counter-plane backend: dense (identical to DecodeSketch) or
+// compressed (the cell stream is re-inserted into a Counter Braids
+// plane).
+func DecodeSketchBackend(r io.Reader, be sketch.BackendKind) (sketch.Sketch, Desc, error) {
 	version, kind, nsec, err := readHeader(r)
 	if err != nil {
 		return nil, Desc{}, err
 	}
 	if version == 1 {
+		if be != sketch.BackendDense {
+			return nil, Desc{}, fmt.Errorf("codec: v1 payloads restore to the dense backend only")
+		}
 		return decodeV1Body(r)
 	}
 	if kind != KindSketch {
 		return nil, Desc{}, fmt.Errorf("codec: container holds a %s, not a single sketch", kindName(kind))
 	}
-	return decodeSketchSections(r, nsec, false)
+	return decodeSketchSections(r, nsec, false, be)
 }
 
 // decodeSketchContainer decodes a nested sketch container (exact
@@ -513,17 +525,13 @@ func decodeSketchContainer(r io.Reader) (sketch.Sketch, Desc, error) {
 	if version != 2 || kind != KindSketch {
 		return nil, Desc{}, fmt.Errorf("codec: embedded container is not a v2 sketch")
 	}
-	return decodeSketchSections(r, nsec, true)
+	return decodeSketchSections(r, nsec, true, sketch.BackendDense)
 }
 
-func decodeSketchSections(r io.Reader, nsec uint32, allowExact bool) (sketch.Sketch, Desc, error) {
-	return decodeSketchSectionsBackend(r, nsec, allowExact, sketch.Backend{})
-}
-
-// decodeSketchSectionsBackend is the body shared by DecodeSketch (zero
-// backend = dense) and DecodeSketchBackend: the counter plane of the
-// reconstructed sketch lands on be.
-func decodeSketchSectionsBackend(r io.Reader, nsec uint32, allowExact bool, be sketch.Backend) (sketch.Sketch, Desc, error) {
+// decodeSketchSections is the body shared by DecodeSketchBackend and
+// the composite decoders: the counter plane of the reconstructed
+// sketch lands on be.
+func decodeSketchSections(r io.Reader, nsec uint32, allowExact bool, be sketch.BackendKind) (sketch.Sketch, Desc, error) {
 	if nsec != 2 && nsec != 3 {
 		return nil, Desc{}, fmt.Errorf("codec: sketch container has %d sections, want 2 or 3", nsec)
 	}
@@ -535,9 +543,9 @@ func decodeSketchSectionsBackend(r io.Reader, nsec uint32, allowExact bool, be s
 		return nil, Desc{}, fmt.Errorf("codec: exact sketches are not serializable as standalone containers")
 	}
 	if nsec == 3 {
-		// Aligned containers (WriteSketchFile) interleave a pad section
-		// so the state payload starts 8-aligned in the file; on a
-		// stream decode the padding is just skipped.
+		// Aligned containers, written by earlier builds' checkpoint-file
+		// writer, interleave a pad section so the state payload starts
+		// 8-aligned in the file; the padding is just skipped.
 		n, err := readSectionHeader(r, secPad)
 		if err != nil {
 			return nil, Desc{}, err
@@ -557,7 +565,7 @@ func decodeSketchSectionsBackend(r io.Reader, nsec uint32, allowExact bool, be s
 	if err := restoreState(sk, tag, payload); err != nil {
 		return nil, Desc{}, err
 	}
-	desc.Backend = be.Kind
+	desc.Backend = be
 	return sk, desc, nil
 }
 

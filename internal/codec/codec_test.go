@@ -510,3 +510,97 @@ func TestDecodeErrorPaths(t *testing.T) {
 		}
 	})
 }
+
+// backendDesc is the shape of the backend and pad-section tests.
+var backendDesc = Desc{Algo: registry.CountMin, N: 300, S: 16, D: 3, Seed: 9}
+
+func backendSketch(t testing.TB) sketch.Sketch {
+	t.Helper()
+	sk, err := registry.SafeNew(backendDesc.Algo, backendDesc.Shape())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i += 3 {
+		sk.Update(i, float64(1+i%7))
+	}
+	return sk
+}
+
+func TestDecodeSketchBackend(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeSketch(&buf, backendDesc, backendSketch(t)); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+
+	// Compressed restore answers like the dense original.
+	comp, desc, err := DecodeSketchBackend(bytes.NewReader(stream), sketch.BackendCompressed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if desc.Backend != sketch.BackendCompressed {
+		t.Fatalf("desc backend %v", desc.Backend)
+	}
+	ref := backendSketch(t)
+	for i := 0; i < backendDesc.N; i += 7 {
+		if comp.Query(i) != ref.Query(i) {
+			t.Fatalf("Query(%d) disagrees after compressed restore", i)
+		}
+	}
+
+	// v1 payloads restore dense-only.
+	var v1 bytes.Buffer
+	if err := EncodeV1(&v1, backendDesc, backendSketch(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeSketchBackend(bytes.NewReader(v1.Bytes()), sketch.BackendCompressed); err == nil {
+		t.Error("v1 payload on compressed backend should error")
+	}
+	v1dense, _, err := DecodeSketchBackend(bytes.NewReader(v1.Bytes()), sketch.BackendDense)
+	if err != nil {
+		t.Fatalf("v1 dense restore: %v", err)
+	}
+	if v1dense.Query(3) != ref.Query(3) {
+		t.Error("v1 dense restore disagrees")
+	}
+}
+
+// Earlier builds wrote checkpoint files as 3-section containers with a
+// zero pad section between descriptor and state. The decoder must skip
+// any pad of at most maxPad bytes and reject everything else in that
+// slot.
+func TestDecodeSkipsPadSection(t *testing.T) {
+	sk := backendSketch(t)
+	tag, payload, err := captureState(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := func(padTag byte, padLen int) []byte {
+		var buf bytes.Buffer
+		if err := writeContainer(&buf, KindSketch, []section{
+			{secDesc, descPayload(backendDesc)},
+			{padTag, make([]byte, padLen)},
+			{tag, payload},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for n := 0; n <= maxPad; n++ {
+		got, _, err := DecodeSketch(bytes.NewReader(padded(secPad, n)))
+		if err != nil {
+			t.Fatalf("pad of %d bytes: %v", n, err)
+		}
+		for i := 0; i < backendDesc.N; i += 7 {
+			if got.Query(i) != sk.Query(i) {
+				t.Fatalf("pad of %d bytes: Query(%d) disagrees", n, i)
+			}
+		}
+	}
+	if _, _, err := DecodeSketch(bytes.NewReader(padded(secPad, maxPad+1))); err == nil {
+		t.Error("pad over maxPad bytes accepted")
+	}
+	if _, _, err := DecodeSketch(bytes.NewReader(padded(secState, 0))); err == nil {
+		t.Error("state tag in the pad slot accepted")
+	}
+}

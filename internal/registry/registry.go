@@ -83,9 +83,6 @@ type Entry struct {
 	// Counter-Braids-compressed backend (linear, insert-only integer
 	// streams only).
 	Compressed bool
-	// Mmap marks algorithms whose counter plane can be served read-only
-	// straight out of a mapped checkpoint file.
-	Mmap bool
 	// Tabulation marks algorithms whose rows can draw from the
 	// tabulation hash family instead of the default pairwise one (the
 	// table-based sketches; the S/R recoveries pin the paper's pairwise
@@ -95,16 +92,15 @@ type Entry struct {
 	// New constructs the sketch for the given shape and counter-plane
 	// backend. Unusable parameters return an error (backend rejections
 	// wrap sketch.ErrBackendUnsupported); a constructor may still panic
-	// on programmer-error misuse, which SafeNew converts. The zero
-	// Backend is the dense plane.
-	New func(sh Shape, be sketch.Backend) (sketch.Sketch, error)
+	// on programmer-error misuse, which SafeNew converts.
+	New func(sh Shape, be sketch.BackendKind) (sketch.Sketch, error)
 }
 
 // MustNew constructs with the dense backend and panics on error — for
 // the replica factories (shards, window panes, range levels) whose
 // shape was already validated by a successful probe construction.
 func (e *Entry) MustNew(sh Shape) sketch.Sketch {
-	sk, err := e.New(sh, sketch.Backend{})
+	sk, err := e.New(sh, sketch.BackendDense)
 	if err != nil {
 		panic(err)
 	}
@@ -177,27 +173,20 @@ func Names() []string {
 // an algorithm rejects at runtime) into errors — the entry point for
 // descriptors read off the network.
 func SafeNew(name string, sh Shape) (sketch.Sketch, error) {
-	return SafeNewBackend(name, sh, sketch.Backend{})
+	return SafeNewBackend(name, sh, sketch.BackendDense)
 }
 
 // SafeNewBackend is SafeNew with an explicit counter-plane backend.
 // Algorithms whose capability flags exclude the requested backend or
 // hash family are rejected with an ErrBackendUnsupported- or
 // ErrHashUnsupported-wrapped error before the constructor runs.
-func SafeNewBackend(name string, sh Shape, be sketch.Backend) (sk sketch.Sketch, err error) {
+func SafeNewBackend(name string, sh Shape, be sketch.BackendKind) (sk sketch.Sketch, err error) {
 	e, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("registry: unknown algorithm %q", name)
 	}
-	switch be.Kind {
-	case sketch.BackendCompressed:
-		if !e.Compressed {
-			return nil, fmt.Errorf("%w: %s has no compressed counter plane", ErrBackendUnsupported, e.Name)
-		}
-	case sketch.BackendMmap:
-		if !e.Mmap {
-			return nil, fmt.Errorf("%w: %s cannot be served from a mapped checkpoint", ErrBackendUnsupported, e.Name)
-		}
+	if be == sketch.BackendCompressed && !e.Compressed {
+		return nil, fmt.Errorf("%w: %s has no compressed counter plane", ErrBackendUnsupported, e.Name)
 	}
 	if sh.Hash != sketch.HashPairwise && !e.Tabulation {
 		return nil, fmt.Errorf("%w: %s only supports the pairwise family, got %v", ErrHashUnsupported, e.Name, sh.Hash)
@@ -271,7 +260,7 @@ func init() {
 	Register(Entry{
 		Name: L1SR, Legend: "l1-S/R", Aliases: []string{"l1-sr", "l1s/r"},
 		Linear: true, Bias: true,
-		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
+		New: func(sh Shape, _ sketch.BackendKind) (sketch.Sketch, error) {
 			return core.New(core.Config{
 				Scheme: core.L1, N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: sh.S,
 			}, rand.New(rand.NewSource(sh.Seed))), nil
@@ -280,7 +269,7 @@ func init() {
 	Register(Entry{
 		Name: L2SR, Legend: "l2-S/R", Aliases: []string{"l2-sr", "l2s/r"},
 		Linear: true, Bias: true,
-		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
+		New: func(sh Shape, _ sketch.BackendKind) (sketch.Sketch, error) {
 			return core.New(core.Config{
 				Scheme: core.L2, N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D,
 			}, rand.New(rand.NewSource(sh.Seed))), nil
@@ -289,7 +278,7 @@ func init() {
 	Register(Entry{
 		Name: L1Mean, Legend: "l1-mean",
 		Linear: true, Bias: true,
-		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
+		New: func(sh Shape, _ sketch.BackendKind) (sketch.Sketch, error) {
 			return core.New(core.Config{
 				Scheme: core.L1, N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, SampleCount: 1, Estimator: core.EstimatorMean,
 			}, rand.New(rand.NewSource(sh.Seed))), nil
@@ -298,7 +287,7 @@ func init() {
 	Register(Entry{
 		Name: L2Mean, Legend: "l2-mean",
 		Linear: true, Bias: true,
-		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
+		New: func(sh Shape, _ sketch.BackendKind) (sketch.Sketch, error) {
 			return core.New(core.Config{
 				Scheme: core.L2, N: sh.N, K: kOf(sh.S), Cs: 4, Depth: sh.D, Estimator: core.EstimatorMean,
 			}, rand.New(rand.NewSource(sh.Seed))), nil
@@ -306,55 +295,55 @@ func init() {
 	})
 	Register(Entry{
 		Name: CountMedian, Legend: "CM", Aliases: []string{"count-median"},
-		Linear: true, Compressed: true, Mmap: true, Tabulation: true,
-		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
+		Linear: true, Compressed: true, Tabulation: true,
+		New: func(sh Shape, be sketch.BackendKind) (sketch.Sketch, error) {
 			return sketch.NewCountMedianBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: CountSketch, Legend: "CS", Aliases: []string{"count-sketch"},
-		Linear: true, Mmap: true, Tabulation: true,
-		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
+		Linear: true, Tabulation: true,
+		New: func(sh Shape, be sketch.BackendKind) (sketch.Sketch, error) {
 			return sketch.NewCountSketchBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: CountMin, Legend: "Count-Min", Aliases: []string{"count-min"},
-		Linear: true, Compressed: true, Mmap: true, Tabulation: true,
-		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
+		Linear: true, Compressed: true, Tabulation: true,
+		New: func(sh Shape, be sketch.BackendKind) (sketch.Sketch, error) {
 			return sketch.NewCountMinBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: CMCU, Legend: "CM-CU",
-		Mmap: true, Tabulation: true,
-		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
+		Tabulation: true,
+		New: func(sh Shape, be sketch.BackendKind) (sketch.Sketch, error) {
 			return sketch.NewCMCUBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: CMLCU, Legend: "CML-CU",
-		Mmap: true, Tabulation: true,
-		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
+		Tabulation: true,
+		New: func(sh Shape, be sketch.BackendKind) (sketch.Sketch, error) {
 			return sketch.NewCMLCUBackend(baseCfg(sh), sketch.DefaultCMLBase, be, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	Register(Entry{
 		Name: DengRafiei, Legend: "Deng-Rafiei", Aliases: []string{"deng-rafiei"},
-		Linear: true, Compressed: true, Mmap: true, Tabulation: true,
-		New: func(sh Shape, be sketch.Backend) (sketch.Sketch, error) {
+		Linear: true, Compressed: true, Tabulation: true,
+		New: func(sh Shape, be sketch.BackendKind) (sketch.Sketch, error) {
 			return sketch.NewDengRafieiBackend(baseCfg(sh), be, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
 	// Counter Braids (the §2 related work): sized by the dimension n
 	// alone — the braid's layers follow the CB design rule, not the
 	// equal-words (s, d) protocol, so s and d are accepted and ignored.
-	// The braid is natively its own compressed representation; it has
-	// no flat cell plane to map, so only the default backend applies.
+	// The braid is natively its own compressed representation, so only
+	// the default backend applies.
 	Register(Entry{
 		Name: CounterBraid, Legend: "CB", Aliases: []string{"cb", "counter-braids"},
 		Linear: true,
-		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
+		New: func(sh Shape, _ sketch.BackendKind) (sketch.Sketch, error) {
 			return sketch.NewCounterBraids(sh.N, rand.New(rand.NewSource(sh.Seed)))
 		},
 	})
@@ -364,7 +353,7 @@ func init() {
 	Register(Entry{
 		Name: Exact, Legend: "Exact",
 		Linear: true,
-		New: func(sh Shape, _ sketch.Backend) (sketch.Sketch, error) {
+		New: func(sh Shape, _ sketch.BackendKind) (sketch.Sketch, error) {
 			return stream.NewExact(sh.N), nil
 		},
 	})

@@ -75,10 +75,7 @@ func hashingOf(name string) (repro.Hashing, error) {
 	return repro.HashPairwise, fmt.Errorf("%w: unknown hashing %q (valid: pairwise, tabulation)", ErrBadSpec, name)
 }
 
-// backendOf maps the spec's backend string to a facade Backend. Mmap
-// is deliberately absent: mapped checkpoints are read-only serving
-// replicas opened via OpenMmap, not something a live ingest endpoint
-// can sit on.
+// backendOf maps the spec's backend string to a facade Backend.
 func backendOf(name string) (repro.Backend, error) {
 	switch name {
 	case "", "dense":

@@ -125,8 +125,17 @@ func (s *Server) tenant(h func(w http.ResponseWriter, r *http.Request, tenant st
 	}
 }
 
+// handleHealth answers 200 while the process serves. A failing
+// periodic checkpoint turns the status "degraded" and names the error:
+// reads and ingest still work, but a crash now would lose every update
+// since the last good checkpoint.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "draining": s.draining.Load()})
+	body := map[string]any{"status": "ok", "draining": s.draining.Load()}
+	if err := s.checkpointErr(); err != nil {
+		body["status"] = "degraded"
+		body["checkpoint_error"] = err.Error()
+	}
+	writeJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {

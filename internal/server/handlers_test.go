@@ -415,6 +415,83 @@ func TestCheckpointSchedulerAndRestore(t *testing.T) {
 	}
 }
 
+// A failing periodic checkpoint shows on /healthz as "degraded" with
+// the error, still 200 (reads and ingest keep serving), and clears on
+// the next good pass — no POST /v1/checkpoint involved.
+func TestHealthzReportsFailingPeriodicCheckpoint(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "data")
+	s, ts := newTestServer(t, Config{DataDir: dir, CheckpointEvery: 10 * time.Millisecond})
+	defer s.Drain()
+	mustCreate(t, ts.URL, "acme", `{"name":"s","kind":"plain","algo":"countmin","dim":10,"words":32,"depth":2}`)
+
+	health := func() (status, ckptErr string) {
+		t.Helper()
+		resp, body := do(t, "GET", ts.URL+"/healthz", "")
+		if resp.StatusCode != 200 {
+			t.Fatalf("healthz: %s %s", resp.Status, body)
+		}
+		var h struct {
+			Status          string `json:"status"`
+			CheckpointError string `json:"checkpoint_error"`
+		}
+		if err := json.Unmarshal([]byte(body), &h); err != nil {
+			t.Fatal(err)
+		}
+		return h.Status, h.CheckpointError
+	}
+	waitFor := func(want string) string {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			status, ckptErr := health()
+			if status == want {
+				return ckptErr
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("healthz status %q (checkpoint_error %q), want %q", status, ckptErr, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	// Let a periodic pass succeed first, so the directory exists.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if m, _ := filepath.Glob(filepath.Join(dir, "acme", "s.g*.ckpt")); len(m) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("scheduler never wrote a checkpoint")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	waitFor("ok")
+
+	// Break the data directory: a regular file where it was. (chmod
+	// would not stop a root test runner.)
+	moved := filepath.Join(root, "moved")
+	if err := os.Rename(dir, moved); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if msg := waitFor("degraded"); msg == "" {
+		t.Error("degraded healthz carries no checkpoint_error")
+	}
+
+	// Mend it: the next periodic pass succeeds and health recovers.
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(moved, dir); err != nil {
+		t.Fatal(err)
+	}
+	if msg := waitFor("ok"); msg != "" {
+		t.Errorf("recovered healthz still carries checkpoint_error %q", msg)
+	}
+}
+
 // Every kind round-trips through its checkpoint: plain dense, plain
 // compressed, and windowed (sharded is covered above and in the soak).
 func TestCheckpointRestoreAllKinds(t *testing.T) {

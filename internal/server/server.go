@@ -88,9 +88,9 @@ type Server struct {
 	// per-entry generation numbering (entry.gen/entry.sum) must advance
 	// atomically with the files it describes.
 	ckptMu sync.Mutex
-	// ckptErr holds the last scheduler checkpoint failure (nil when
-	// the last pass succeeded); surfaced by POST /v1/checkpoint.
-	ckptErr atomic.Value // error
+	// ckptErr holds the last periodic checkpoint failure (nil when the
+	// last pass succeeded); GET /healthz reports it as "degraded".
+	ckptErr atomic.Value // errBox
 }
 
 // New builds a Server from cfg, restoring every checkpointed sketch
@@ -129,9 +129,10 @@ func (s *Server) HTTPServer() *http.Server {
 }
 
 // checkpointLoop writes periodic checkpoints until Drain stops it. A
-// failing pass is recorded, not fatal: the next POST /v1/checkpoint
-// reports it, and the data directory keeps the last good checkpoint
-// (writes are temp-file + rename, so a failure never corrupts one).
+// failing pass is recorded, not fatal: GET /healthz reports it until a
+// later pass succeeds, and the data directory keeps the last good
+// checkpoint (writes are temp-file + rename, so a failure never
+// corrupts one).
 func (s *Server) checkpointLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.CheckpointEvery)
@@ -149,6 +150,13 @@ func (s *Server) checkpointLoop() {
 // errBox lets a nil error round-trip through atomic.Value (which
 // rejects bare nil and inconsistently-typed values).
 type errBox struct{ err error }
+
+// checkpointErr returns the last periodic checkpoint failure, or nil
+// when the last pass succeeded or none has run yet.
+func (s *Server) checkpointErr() error {
+	b, _ := s.ckptErr.Load().(errBox)
+	return b.err
+}
 
 // CheckpointAll writes every registered sketch to the data directory
 // — durable and atomic per sketch (fsynced temp file + rename into a

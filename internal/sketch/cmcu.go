@@ -23,16 +23,15 @@ type CMCU struct {
 // NewCMCU creates a dense conservative-update Count-Min sketch.
 // Invalid configurations return an ErrConfig-wrapped error.
 func NewCMCU(cfg Config, r *rand.Rand) (*CMCU, error) {
-	return NewCMCUBackend(cfg, Backend{}, r)
+	return NewCMCUBackend(cfg, BackendDense, r)
 }
 
 // NewCMCUBackend creates a conservative-update Count-Min sketch on the
 // chosen counter plane. The conservative raise sets buckets to a
 // target value — not a linear add — which the compressed plane cannot
-// represent: BackendCompressed returns ErrBackendUnsupported. Dense
-// and mmap (read-only) are supported.
-func NewCMCUBackend(cfg Config, be Backend, r *rand.Rand) (*CMCU, error) {
-	if be.Kind == BackendCompressed {
+// represent: BackendCompressed returns ErrBackendUnsupported.
+func NewCMCUBackend(cfg Config, be BackendKind, r *rand.Rand) (*CMCU, error) {
+	if be == BackendCompressed {
 		return nil, fmt.Errorf("%w: cmcu's conservative raise sets buckets in place, the compressed plane only adds", ErrBackendUnsupported)
 	}
 	tb, err := newTable(cfg, r, be)
@@ -63,7 +62,7 @@ func (c *CMCU) Update(i int, delta float64) {
 	if delta < 0 {
 		panic("sketch: CMCU does not support negative updates (insert-only)")
 	}
-	cells := c.tb.writable()
+	cells := c.tb.wrows
 	depth := len(cells)
 	c.growHbuf(depth)
 	hb := c.hbuf[:depth]
@@ -94,7 +93,7 @@ func (c *CMCU) UpdateBatch(idx []int, deltas []float64) {
 			panic("sketch: CMCU does not support negative updates (insert-only)")
 		}
 	}
-	cells := c.tb.writable()
+	cells := c.tb.wrows
 	m := len(idx)
 	depth := len(cells)
 	c.growHbuf(depth * m)

@@ -37,18 +37,17 @@ type CMLCU struct {
 // Invalid configurations (including base ≤ 1) return an
 // ErrConfig-wrapped error.
 func NewCMLCU(cfg Config, base float64, r *rand.Rand) (*CMLCU, error) {
-	return NewCMLCUBackend(cfg, base, Backend{}, r)
+	return NewCMLCUBackend(cfg, base, BackendDense, r)
 }
 
 // NewCMLCUBackend creates a Count-Min-Log sketch on the chosen counter
 // plane. Like CM-CU the conservative raise sets buckets in place, so
-// BackendCompressed returns ErrBackendUnsupported; dense and mmap
-// (read-only) are supported.
-func NewCMLCUBackend(cfg Config, base float64, be Backend, r *rand.Rand) (*CMLCU, error) {
+// BackendCompressed returns ErrBackendUnsupported.
+func NewCMLCUBackend(cfg Config, base float64, be BackendKind, r *rand.Rand) (*CMLCU, error) {
 	if base <= 1 {
 		return nil, fmt.Errorf("%w: CMLCU base must exceed 1, got %v", ErrConfig, base)
 	}
-	if be.Kind == BackendCompressed {
+	if be == BackendCompressed {
 		return nil, fmt.Errorf("%w: cmlcu's conservative raise sets buckets in place, the compressed plane only adds", ErrBackendUnsupported)
 	}
 	tb, err := newTable(cfg, r, be)
@@ -93,7 +92,7 @@ func (c *CMLCU) Update(i int, delta float64) {
 	if delta < 0 {
 		panic("sketch: CMLCU does not support negative updates (insert-only)")
 	}
-	cells := c.tb.writable()
+	cells := c.tb.wrows
 	depth := len(cells)
 	c.growHbuf(depth)
 	hb := c.hbuf[:depth]
@@ -130,7 +129,7 @@ func (c *CMLCU) UpdateBatch(idx []int, deltas []float64) {
 			panic("sketch: CMLCU does not support negative updates (insert-only)")
 		}
 	}
-	cells := c.tb.writable()
+	cells := c.tb.wrows
 	m := len(idx)
 	depth := len(cells)
 	c.growHbuf(depth * m)

@@ -21,14 +21,13 @@ type CountMedian struct {
 // shape, drawing hash functions from r. Invalid configurations return
 // an ErrConfig-wrapped error.
 func NewCountMedian(cfg Config, r *rand.Rand) (*CountMedian, error) {
-	return NewCountMedianBackend(cfg, Backend{}, r)
+	return NewCountMedianBackend(cfg, BackendDense, r)
 }
 
 // NewCountMedianBackend creates a Count-Median sketch on the chosen
 // counter plane. Updates are plain linear adds, so every backend is
-// supported: dense, compressed (insert-only integer streams),
-// and mmap (read-only).
-func NewCountMedianBackend(cfg Config, be Backend, r *rand.Rand) (*CountMedian, error) {
+// supported: dense and compressed (insert-only integer streams).
+func NewCountMedianBackend(cfg Config, be BackendKind, r *rand.Rand) (*CountMedian, error) {
 	tb, err := newTable(cfg, r, be)
 	if err != nil {
 		return nil, err
@@ -101,8 +100,7 @@ func (c *CountMedian) Dim() int { return c.tb.dim() }
 func (c *CountMedian) Words() int { return c.tb.words() }
 
 // MergeFrom adds another CountMedian with identical shape and seeds.
-// Backends may differ wherever the values admit it; read-only
-// receivers return ErrReadOnlyPlane.
+// Backends may differ wherever the values admit it.
 func (c *CountMedian) MergeFrom(other Linear) error {
 	o, ok := other.(*CountMedian)
 	if !ok || !c.tb.sameShape(&o.tb) {

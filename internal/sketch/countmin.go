@@ -16,14 +16,14 @@ type CountMin struct {
 // NewCountMin creates a dense Count-Min sketch with the given shape.
 // Invalid configurations return an ErrConfig-wrapped error.
 func NewCountMin(cfg Config, r *rand.Rand) (*CountMin, error) {
-	return NewCountMinBackend(cfg, Backend{}, r)
+	return NewCountMinBackend(cfg, BackendDense, r)
 }
 
 // NewCountMinBackend creates a Count-Min sketch on the chosen counter
 // plane. Count-Min's updates are plain non-negative-leaning linear
-// adds, so every backend is supported: dense, compressed
-// (insert-only integer streams), and mmap (read-only).
-func NewCountMinBackend(cfg Config, be Backend, r *rand.Rand) (*CountMin, error) {
+// adds, so every backend is supported: dense and compressed
+// (insert-only integer streams).
+func NewCountMinBackend(cfg Config, be BackendKind, r *rand.Rand) (*CountMin, error) {
 	tb, err := newTable(cfg, r, be)
 	if err != nil {
 		return nil, err
@@ -80,8 +80,7 @@ func (c *CountMin) Words() int { return c.tb.words() }
 
 // MergeFrom adds another CountMin with identical shape and seeds.
 // Backends may differ wherever the values admit it (a compressed
-// receiver re-inserts a dense source's cells); read-only receivers
-// return ErrReadOnlyPlane.
+// receiver re-inserts a dense source's cells).
 func (c *CountMin) MergeFrom(other Linear) error {
 	o, ok := other.(*CountMin)
 	if !ok || !c.tb.sameShape(&o.tb) {

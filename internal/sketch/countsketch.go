@@ -25,21 +25,20 @@ type CountSketch struct {
 // NewCountSketch creates a dense Count-Sketch with the given shape.
 // Invalid configurations return an ErrConfig-wrapped error.
 func NewCountSketch(cfg Config, r *rand.Rand) (*CountSketch, error) {
-	return NewCountSketchBackend(cfg, Backend{}, r)
+	return NewCountSketchBackend(cfg, BackendDense, r)
 }
 
 // NewCountSketchBackend creates a Count-Sketch on the chosen counter
 // plane. The signed updates r_t(i)·delta go negative on every second
 // coordinate, which the insert-only compressed plane cannot represent —
-// BackendCompressed returns ErrBackendUnsupported. Dense and mmap
-// (read-only) are supported.
+// BackendCompressed returns ErrBackendUnsupported.
 //
 // The sign family matches the configured hash family (pairwise signs
 // with pairwise hashes, tabulation signs with tabulation hashes) and is
 // drawn from r after the table — the same order as every prior
 // release, so pairwise sketches keep their exact seeds.
-func NewCountSketchBackend(cfg Config, be Backend, r *rand.Rand) (*CountSketch, error) {
-	if be.Kind == BackendCompressed {
+func NewCountSketchBackend(cfg Config, be BackendKind, r *rand.Rand) (*CountSketch, error) {
+	if be == BackendCompressed {
 		return nil, fmt.Errorf("%w: countsketch writes signed cell values, the compressed plane is insert-only", ErrBackendUnsupported)
 	}
 	tb, err := newTable(cfg, r, be)
@@ -68,7 +67,7 @@ func (c *CountSketch) Backend() BackendKind { return c.tb.backend() }
 func (c *CountSketch) Update(i int, delta float64) {
 	c.tb.checkIndex(i)
 	u := uint64(i)
-	cells := c.tb.writable()
+	cells := c.tb.wrows
 	if ts := c.tb.hash.T; ts != nil {
 		for t, h := range ts {
 			cells[t][h.Hash(u)] += c.signs.T[t].SignFloat(u) * delta
@@ -98,7 +97,7 @@ func (c *CountSketch) UpdateBatch(idx []int, deltas []float64) {
 	c.tb.checkBatch(idx, deltas)
 	c.growSbuf(len(idx))
 	sg := c.sbuf[:len(idx)]
-	cells := c.tb.writable()
+	cells := c.tb.wrows
 	for t := range cells {
 		row := cells[t]
 		c.signs.SignFloatMany(t, idx, sg)
@@ -161,7 +160,6 @@ func (c *CountSketch) Dim() int { return c.tb.dim() }
 func (c *CountSketch) Words() int { return c.tb.words() }
 
 // MergeFrom adds another CountSketch with identical shape and seeds.
-// Read-only receivers return ErrReadOnlyPlane.
 func (c *CountSketch) MergeFrom(other Linear) error {
 	o, ok := other.(*CountSketch)
 	if !ok || !c.tb.sameShape(&o.tb) {

@@ -32,35 +32,21 @@ type DengRafiei struct {
 // noise-averaging denominator s−1 cannot tolerate) return an
 // ErrConfig-wrapped error.
 func NewDengRafiei(cfg Config, r *rand.Rand) (*DengRafiei, error) {
-	return NewDengRafieiBackend(cfg, Backend{}, r)
+	return NewDengRafieiBackend(cfg, BackendDense, r)
 }
 
 // NewDengRafieiBackend creates a Deng–Rafiei sketch on the chosen
 // counter plane. Updates are plain linear adds, so every backend is
-// supported: dense, compressed (insert-only integer streams),
-// and mmap (read-only).
-//
-// The sketch carries one scalar of state beyond the cell matrix — the
-// running total — so a mapped backend's byte region is the Marshal
-// layout: 8·Depth·Rows cell bytes followed by an 8-byte total.
-func NewDengRafieiBackend(cfg Config, be Backend, r *rand.Rand) (*DengRafiei, error) {
+// supported: dense and compressed (insert-only integer streams).
+func NewDengRafieiBackend(cfg Config, be BackendKind, r *rand.Rand) (*DengRafiei, error) {
 	if cfg.Rows < 2 {
 		return nil, fmt.Errorf("%w: DengRafiei needs at least 2 buckets per row", ErrConfig)
-	}
-	var total float64
-	if be.Kind == BackendMmap {
-		cellBytes := 8 * cfg.Depth * cfg.Rows
-		if len(be.Mapped) != cellBytes+8 {
-			return nil, fmt.Errorf("%w: DengRafiei mapped state is %d bytes, want %d cell bytes + 8-byte total", ErrBackendState, len(be.Mapped), cellBytes)
-		}
-		total = math.Float64frombits(binary.LittleEndian.Uint64(be.Mapped[cellBytes:]))
-		be.Mapped = be.Mapped[:cellBytes]
 	}
 	tb, err := newTable(cfg, r, be)
 	if err != nil {
 		return nil, err
 	}
-	return &DengRafiei{tb: tb, total: total, buf: make([]float64, cfg.Depth)}, nil
+	return &DengRafiei{tb: tb, buf: make([]float64, cfg.Depth)}, nil
 }
 
 // Backend reports the counter plane's storage backend.

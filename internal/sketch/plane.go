@@ -10,11 +10,10 @@ import (
 // This file defines the counter plane: the storage layer under every
 // table-based sketch. The table owns the hashing and the algorithms
 // own the recovery rule; the plane owns only where the d×s counters
-// live and how they are read, added to, merged, and serialized. Three
-// implementations exist — dense (plane_dense, the flat [][]float64
-// the repository always had), compressed (plane_cb, Counter Braids
-// from internal/counterbraids), and mmap (plane_mmap, read-only views
-// over a mapped checkpoint file).
+// live and how they are read, added to, merged, and serialized. Two
+// implementations exist — dense (densePlane below, the flat
+// [][]float64 the repository always had) and compressed (plane_cb,
+// Counter Braids from internal/counterbraids).
 
 // BackendKind selects a counter-plane storage backend.
 type BackendKind uint8
@@ -29,10 +28,6 @@ const (
 	// non-negative integer updates and whole-plane decode at query
 	// time (exact below the braid's decoding threshold).
 	BackendCompressed
-	// BackendMmap serves the counters read-only from a memory-mapped
-	// checkpoint file: queries come up in O(1) after restart, updates
-	// and merges return ErrReadOnlyPlane.
-	BackendMmap
 )
 
 // String names the backend for error messages and descriptors.
@@ -42,23 +37,9 @@ func (k BackendKind) String() string {
 		return "dense"
 	case BackendCompressed:
 		return "compressed"
-	case BackendMmap:
-		return "mmap"
 	default:
 		return fmt.Sprintf("backend(%d)", uint8(k))
 	}
-}
-
-// Backend selects how a table stores its counter plane. The zero value
-// is the dense backend.
-type Backend struct {
-	Kind BackendKind
-	// Mapped is the raw state payload backing a BackendMmap plane —
-	// the marshalCells bytes, served in place (typically a slice of a
-	// memory-mapped checkpoint file). It must be 8-byte aligned and
-	// exactly 8·depth·rows bytes; constructors reject anything else
-	// with ErrBackendState. Ignored by the other backends.
-	Mapped []byte
 }
 
 // Typed plane and backend errors. Constructors and plane operations
@@ -71,13 +52,9 @@ var (
 	// the requested backend (e.g. conservative update or signed updates
 	// on the insert-only compressed plane).
 	ErrBackendUnsupported = errors.New("sketch: backend not supported by this algorithm")
-	// ErrBackendState is returned when a backend's initial state bytes
-	// are unusable: wrong length, misaligned, or not produced by a
-	// matching marshal.
+	// ErrBackendState is returned when restored state bytes are
+	// unusable: wrong length, or not produced by a matching marshal.
 	ErrBackendState = errors.New("sketch: bad backend state")
-	// ErrReadOnlyPlane is returned (or panicked, from the in-place
-	// update hot paths) when a write reaches an mmap-backed plane.
-	ErrReadOnlyPlane = errors.New("sketch: plane is read-only (mmap backend)")
 	// ErrInsertOnly is returned when an update violates the compressed
 	// plane's Counter Braids constraint: deltas must be non-negative
 	// integers.
@@ -96,8 +73,8 @@ var (
 type Plane interface {
 	// Kind identifies the backend.
 	Kind() BackendKind
-	// View returns the counter matrix as per-row slices. Dense and
-	// mmap planes return a fixed view; the compressed plane decodes on
+	// View returns the counter matrix as per-row slices. The dense
+	// plane returns a fixed view; the compressed plane decodes on
 	// demand (cached until the next Add) and fails with ErrPlaneDecode
 	// past the braid's threshold. Callers must not modify the rows
 	// unless WritableRows returns the same slices.

@@ -3,8 +3,8 @@ package sketch
 // Unit tests for the counter-plane backends at the Plane seam: the
 // facade-level property tests prove the sketches agree across
 // backends; these pin the plane contracts themselves — insert-only
-// validation, read-only rejection, decode caching, alignment and
-// length checks — where the error paths are reachable directly.
+// validation, decode caching and length checks — where the error
+// paths are reachable directly.
 
 import (
 	"encoding/binary"
@@ -12,14 +12,12 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"unsafe"
 )
 
 func TestBackendKindString(t *testing.T) {
 	cases := map[BackendKind]string{
 		BackendDense:      "dense",
 		BackendCompressed: "compressed",
-		BackendMmap:       "mmap",
 		BackendKind(42):   "backend(42)",
 	}
 	for k, want := range cases {
@@ -202,151 +200,33 @@ func TestCBPlaneMergeFrom(t *testing.T) {
 	}
 }
 
-// alignedBuf returns an 8-byte-aligned slice of n bytes.
-func alignedBuf(n int) []byte {
-	raw := make([]byte, n+8)
-	off := 0
-	for uintptr(unsafe.Pointer(unsafe.SliceData(raw[off:])))%8 != 0 {
-		off++
-	}
-	return raw[off : off+n : off+n]
-}
-
-func TestMmapPlaneContract(t *testing.T) {
-	const depth, rows = 2, 4
-	data := alignedBuf(8 * depth * rows)
-	for c := 0; c < depth*rows; c++ {
-		binary.LittleEndian.PutUint64(data[8*c:], math.Float64bits(float64(c)*1.5))
-	}
-	p, err := newMmapPlane(depth, rows, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Kind() != BackendMmap {
-		t.Fatalf("Kind = %v", p.Kind())
-	}
-	if p.WritableRows() != nil {
-		t.Fatal("mmap plane must not expose writable rows")
-	}
-	v, err := p.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ti := 0; ti < depth; ti++ {
-		for b := 0; b < rows; b++ {
-			if want := float64(ti*rows+b) * 1.5; v[ti][b] != want {
-				t.Fatalf("cell (%d,%d) = %v, want %v", ti, b, v[ti][b], want)
-			}
-		}
-	}
-	for name, err := range map[string]error{
-		"ValidateAdd":    p.ValidateAdd(1),
-		"Add":            p.Add(0, 0, 1),
-		"MergeFrom":      p.MergeFrom(newDensePlane(depth, rows)),
-		"UnmarshalCells": p.UnmarshalCells(make([]byte, 8*depth*rows)),
-	} {
-		if !errors.Is(err, ErrReadOnlyPlane) {
-			t.Errorf("%s: %v, want ErrReadOnlyPlane", name, err)
-		}
-	}
-	if p.Bits() != 64*depth*rows {
-		t.Errorf("Bits = %d", p.Bits())
-	}
-	out, err := p.MarshalCells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &out[0] == &data[0] {
-		t.Error("MarshalCells must copy, not alias the mapping")
-	}
-	for i := range data {
-		if out[i] != data[i] {
-			t.Fatalf("MarshalCells byte %d differs", i)
-		}
-	}
-
-	// Construction rejections: wrong length, misalignment.
-	if _, err := newMmapPlane(depth, rows, data[:8]); !errors.Is(err, ErrBackendState) {
-		t.Errorf("short payload: %v, want ErrBackendState", err)
-	}
-	raw := make([]byte, 8*depth*rows+1)
-	misaligned := raw[1:]
-	if uintptr(unsafe.Pointer(unsafe.SliceData(misaligned)))%8 == 0 {
-		misaligned = raw[:8*depth*rows]
-	}
-	if _, err := newMmapPlane(depth, rows, misaligned[:8*depth*rows]); !errors.Is(err, ErrBackendState) {
-		t.Errorf("misaligned payload: %v, want ErrBackendState", err)
-	}
-}
-
 // Backend() accessors and cross-backend construction on every table
 // sketch: compressed where the write pattern allows, rejected where it
-// does not, mmap from a marshaled twin everywhere.
+// does not.
 func TestTableSketchBackends(t *testing.T) {
 	cfg := Config{N: 300, Rows: 16, Depth: 3}
 
 	t.Run("compressed", func(t *testing.T) {
-		cm := must(NewCountMinBackend(cfg, Backend{Kind: BackendCompressed}, rand.New(rand.NewSource(1))))
+		cm := must(NewCountMinBackend(cfg, BackendCompressed, rand.New(rand.NewSource(1))))
 		if cm.Backend() != BackendCompressed {
 			t.Fatalf("Backend = %v", cm.Backend())
 		}
-		cmd := must(NewCountMedianBackend(cfg, Backend{Kind: BackendCompressed}, rand.New(rand.NewSource(1))))
+		cmd := must(NewCountMedianBackend(cfg, BackendCompressed, rand.New(rand.NewSource(1))))
 		if cmd.Backend() != BackendCompressed {
 			t.Fatalf("Backend = %v", cmd.Backend())
 		}
-		dr := must(NewDengRafieiBackend(cfg, Backend{Kind: BackendCompressed}, rand.New(rand.NewSource(1))))
+		dr := must(NewDengRafieiBackend(cfg, BackendCompressed, rand.New(rand.NewSource(1))))
 		if dr.Backend() != BackendCompressed {
 			t.Fatalf("Backend = %v", dr.Backend())
 		}
-		if _, err := NewCountSketchBackend(cfg, Backend{Kind: BackendCompressed}, rand.New(rand.NewSource(1))); !errors.Is(err, ErrBackendUnsupported) {
+		if _, err := NewCountSketchBackend(cfg, BackendCompressed, rand.New(rand.NewSource(1))); !errors.Is(err, ErrBackendUnsupported) {
 			t.Errorf("countsketch compressed: %v", err)
 		}
-		if _, err := NewCMCUBackend(cfg, Backend{Kind: BackendCompressed}, rand.New(rand.NewSource(1))); !errors.Is(err, ErrBackendUnsupported) {
+		if _, err := NewCMCUBackend(cfg, BackendCompressed, rand.New(rand.NewSource(1))); !errors.Is(err, ErrBackendUnsupported) {
 			t.Errorf("cmcu compressed: %v", err)
 		}
-		if _, err := NewCMLCUBackend(cfg, DefaultCMLBase, Backend{Kind: BackendCompressed}, rand.New(rand.NewSource(1))); !errors.Is(err, ErrBackendUnsupported) {
+		if _, err := NewCMLCUBackend(cfg, DefaultCMLBase, BackendCompressed, rand.New(rand.NewSource(1))); !errors.Is(err, ErrBackendUnsupported) {
 			t.Errorf("cmlcu compressed: %v", err)
-		}
-	})
-
-	t.Run("mmap", func(t *testing.T) {
-		// Marshal a dense CountSketch and serve its cells mapped.
-		src := must(NewCountSketch(cfg, rand.New(rand.NewSource(2))))
-		for i := 0; i < cfg.N; i++ {
-			src.Update(i, float64(i%5)-2)
-		}
-		blob := must(src.Marshal())
-		data := alignedBuf(len(blob))
-		copy(data, blob)
-		mm := must(NewCountSketchBackend(cfg, Backend{Kind: BackendMmap, Mapped: data}, rand.New(rand.NewSource(2))))
-		if mm.Backend() != BackendMmap {
-			t.Fatalf("Backend = %v", mm.Backend())
-		}
-		for i := 0; i < cfg.N; i += 13 {
-			if src.Query(i) != mm.Query(i) {
-				t.Fatalf("Query(%d) disagrees", i)
-			}
-		}
-		if err := mm.Unmarshal(blob); !errors.Is(err, ErrReadOnlyPlane) {
-			t.Errorf("Unmarshal on mmap: %v, want ErrReadOnlyPlane", err)
-		}
-
-		// DengRafiei's mapped layout carries the 8-byte total tail.
-		dsrc := must(NewDengRafiei(cfg, rand.New(rand.NewSource(3))))
-		for i := 0; i < cfg.N; i++ {
-			dsrc.Update(i, float64(1+i%4))
-		}
-		dblob := must(dsrc.Marshal())
-		ddata := alignedBuf(len(dblob))
-		copy(ddata, dblob)
-		dmm := must(NewDengRafieiBackend(cfg, Backend{Kind: BackendMmap, Mapped: ddata}, rand.New(rand.NewSource(3))))
-		for i := 0; i < cfg.N; i += 13 {
-			if dsrc.Query(i) != dmm.Query(i) {
-				t.Fatalf("DengRafiei Query(%d) disagrees", i)
-			}
-		}
-		if _, err := NewDengRafieiBackend(cfg, Backend{Kind: BackendMmap, Mapped: ddata[:16]}, rand.New(rand.NewSource(3))); !errors.Is(err, ErrBackendState) {
-			t.Errorf("short DengRafiei mapped state: %v, want ErrBackendState", err)
 		}
 	})
 
@@ -526,31 +406,13 @@ func TestCounterBraidsAdapter(t *testing.T) {
 }
 
 // Table-level write rejection: the hot paths panic with the typed
-// plane error when an update reaches a read-only or constraint-
-// violating plane through the panic-only Update/UpdateBatch surface.
+// plane error when an update reaches a constraint-violating plane
+// through the panic-only Update/UpdateBatch surface.
 func TestTableWriteRejections(t *testing.T) {
 	cfg := Config{N: 100, Rows: 8, Depth: 2}
 
-	// Read-only: updates through the mapped plane.
-	src := must(NewCountMin(cfg, rand.New(rand.NewSource(1))))
-	blob := must(src.Marshal())
-	data := alignedBuf(len(blob))
-	copy(data, blob)
-	mm := must(NewCountMinBackend(cfg, Backend{Kind: BackendMmap, Mapped: data}, rand.New(rand.NewSource(1))))
-	func() {
-		defer func() {
-			rec := recover()
-			err, ok := rec.(error)
-			if !ok || !errors.Is(err, ErrReadOnlyPlane) {
-				t.Errorf("mmap Update: recovered %v, want ErrReadOnlyPlane", rec)
-			}
-		}()
-		mm.Update(1, 1)
-		t.Error("mmap Update accepted")
-	}()
-
 	// Insert-only: a batch with one bad delta moves nothing.
-	comp := must(NewCountMinBackend(cfg, Backend{Kind: BackendCompressed}, rand.New(rand.NewSource(1))))
+	comp := must(NewCountMinBackend(cfg, BackendCompressed, rand.New(rand.NewSource(1))))
 	comp.Update(5, 2)
 	func() {
 		defer func() {

@@ -23,9 +23,12 @@ type table struct {
 	// wrows is the plane's direct-write row view — non-nil only for
 	// the dense backend. The update hot paths branch on it once and
 	// mutate in place, exactly as the pre-plane code did; the fallback
-	// routes through the plane's Add primitive.
+	// routes through the plane's Add primitive. The algorithms that
+	// write in place unconditionally (conservative update, signed
+	// updates) reject the compressed backend at construction, so for
+	// them wrows is never nil.
 	wrows [][]float64
-	// rview is the current read view. For dense and mmap backends
+	// rview is the current read view. For the dense backend
 	// (fixed == true) it is set once at construction and never goes
 	// stale; the compressed backend re-materializes through the plane
 	// on every read batch (cached inside the plane until the next
@@ -37,15 +40,14 @@ type table struct {
 }
 
 // newTable builds a table on the requested backend. Invalid
-// configurations return ErrConfig (wrapped); unusable backend state
-// (mmap payloads) returns ErrBackendState.
-func newTable(cfg Config, r *rand.Rand, be Backend) (table, error) {
+// configurations return ErrConfig (wrapped).
+func newTable(cfg Config, r *rand.Rand, be BackendKind) (table, error) {
 	if err := cfg.Validate(); err != nil {
 		return table{}, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	// The hash family draws from r first under every backend, so two
 	// sketches built from the same seed share hashes regardless of the
-	// plane behind them — dense, compressed, and mmap replicas of one
+	// plane behind them — dense and compressed replicas of one
 	// configuration answer against the same bucket geometry. The
 	// pairwise family draws exactly the coefficients it always did, so
 	// HashPairwise sketches stay byte-identical to every prior release.
@@ -61,22 +63,16 @@ func newTable(cfg Config, r *rand.Rand, be Backend) (table, error) {
 		return table{}, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
 	var p Plane
-	switch be.Kind {
+	switch be {
 	case BackendDense:
 		p = newDensePlane(cfg.Depth, cfg.Rows)
 	case BackendCompressed:
 		p = newCBPlane(cfg.Depth, cfg.Rows, r)
-	case BackendMmap:
-		mp, err := newMmapPlane(cfg.Depth, cfg.Rows, be.Mapped)
-		if err != nil {
-			return table{}, err
-		}
-		p = mp
 	default:
-		return table{}, fmt.Errorf("%w: unknown backend %v", ErrConfig, be.Kind)
+		return table{}, fmt.Errorf("%w: unknown backend %v", ErrConfig, be)
 	}
 	tb := table{cfg: cfg, hash: h, plane: p, wrows: p.WritableRows()}
-	if be.Kind != BackendCompressed {
+	if be != BackendCompressed {
 		v, err := p.View()
 		if err != nil {
 			return table{}, err
@@ -89,7 +85,7 @@ func newTable(cfg Config, r *rand.Rand, be Backend) (table, error) {
 func (tb *table) dim() int { return tb.cfg.N }
 
 // words reports the storage cost of the counter plane in 64-bit words,
-// rounding bit-packed backends up — dense and mmap planes report
+// rounding bit-packed backends up — the dense plane reports
 // exactly Depth·Rows, the compressed plane reports the braid's actual
 // footprint (its honest position on size-versus-accuracy plots).
 func (tb *table) words() int { return (tb.plane.Bits() + 63) / 64 }
@@ -97,8 +93,8 @@ func (tb *table) words() int { return (tb.plane.Bits() + 63) / 64 }
 // backend reports the plane's kind.
 func (tb *table) backend() BackendKind { return tb.plane.Kind() }
 
-// rows returns the current read view of the counter matrix. Dense and
-// mmap planes resolve to a cached field load; the compressed plane
+// rows returns the current read view of the counter matrix. The dense
+// plane resolves to a cached field load; the compressed plane
 // decodes on demand (panicking with an ErrPlaneDecode-wrapped error
 // past the braid threshold — see planeRows).
 //
@@ -131,23 +127,9 @@ func (tb *table) readable() error {
 	return err
 }
 
-// writable returns the direct-write rows, panicking on read-only
-// planes. Only the dense backend is in-place writable; the algorithms
-// that need read-modify-write semantics (conservative update, signed
-// updates) reject the compressed backend at construction, so reaching
-// this with nil wrows means an mmap plane absorbed an update call.
-//
-//sketch:hotpath
-func (tb *table) writable() [][]float64 {
-	if tb.wrows == nil {
-		panic(ErrReadOnlyPlane)
-	}
-	return tb.wrows
-}
-
 // addSlow routes one linear add through the plane's Add primitive —
 // the non-dense path of the linear algorithms' Update. Constraint
-// violations (read-only plane, non-integer delta on the compressed
+// violations (a negative or non-integer delta on the compressed
 // plane) panic with their typed error, mirroring the panic-on-misuse
 // contract of the in-range checks.
 func (tb *table) addSlow(i int, delta float64) {
@@ -297,8 +279,7 @@ func (tb *table) sameShape(o *table) bool {
 
 // mergeFrom adds o's counters into tb through the planes. Caller must
 // have checked sameShape. Dense←dense is the flat cell loop it always
-// was; compressed←compressed merges braid state exactly; read-only
-// receivers return ErrReadOnlyPlane.
+// was; compressed←compressed merges braid state exactly.
 func (tb *table) mergeFrom(o *table) error {
 	return tb.plane.MergeFrom(o.plane)
 }
@@ -312,7 +293,7 @@ func (tb *table) marshalCells() ([]byte, error) {
 }
 
 // unmarshalCells overwrites the counter matrix from marshalCells
-// output. Read-only planes reject it; the compressed plane re-inserts
+// output. The compressed plane re-inserts
 // the cell totals (exact, but only for non-negative integer cells).
 func (tb *table) unmarshalCells(buf []byte) error {
 	return tb.plane.UnmarshalCells(buf)

@@ -35,9 +35,8 @@ func mergeHandles(dst *handle, other Sketch) error {
 	}
 	ob := o.base()
 	// The backend is a storage choice, not part of the sketch's
-	// identity: a dense receiver may fold in a mapped checkpoint of the
-	// same shape and seed. Read-only receivers are refused one layer
-	// down, with ErrReadOnly.
+	// identity: a dense receiver may fold in a compressed sketch of the
+	// same shape and seed.
 	da, db := dst.desc, ob.desc
 	da.Backend, db.Backend = BackendDense, BackendDense
 	if ob.entry != dst.entry || da != db {

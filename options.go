@@ -86,9 +86,6 @@ func WithSeed(seed int64) Option { return func(c *newConfig) { c.seed = seed } }
 // threshold returns ErrDecodeBudget). Not every algorithm supports
 // every backend — see Backends; unsupported pairs return
 // ErrBackendUnsupported from New.
-//
-// BackendMmap cannot be requested here: a memory-mapped sketch is
-// opened from a checkpoint file via OpenMmap, not built empty.
 func WithBackend(b Backend) Option { return func(c *newConfig) { c.backend = b } }
 
 // WithHashing selects the hash family the sketch's rows draw from.
@@ -165,8 +162,6 @@ func buildConfig(opts []Option) (newConfig, error) {
 	}
 	switch cfg.backend {
 	case sketch.BackendDense, sketch.BackendCompressed:
-	case sketch.BackendMmap:
-		return cfg, fmt.Errorf("%w: WithBackend(BackendMmap) — mmap sketches are opened from a checkpoint file via OpenMmap, not built empty", ErrInvalidOption)
 	default:
 		return cfg, fmt.Errorf("%w: unknown backend %v", ErrInvalidOption, cfg.backend)
 	}

@@ -35,11 +35,6 @@ func TestQueryBatchMatchesQueryProperty(t *testing.T) {
 				t.Logf("%s: New(n=%d s=%d d=%d): %v", algo, n, words, depth, err)
 				return false
 			}
-			bq, ok := sk.(repro.BatchQuerier)
-			if !ok {
-				t.Logf("%s: not a BatchQuerier", algo)
-				return false
-			}
 			updates := 200 + r.Intn(3000)
 			for u := 0; u < updates; u++ {
 				// Non-negative deltas keep the insert-only sketches legal.
@@ -65,7 +60,7 @@ func TestQueryBatchMatchesQueryProperty(t *testing.T) {
 						panic(v)
 					}
 				}()
-				bq.QueryBatch(idx, out)
+				sk.QueryBatch(idx, out)
 				for j, i := range idx {
 					if want := sk.Query(i); out[j] != want {
 						t.Logf("%s: query %d: batched %v, element-wise %v", algo, i, out[j], want)
@@ -165,8 +160,8 @@ func TestSnapshotReadMatchesSequentialProperty(t *testing.T) {
 	}
 }
 
-// The package-level helper: native path, foreign-sketch fallback, and
-// length validation before anything is written.
+// The package-level helper: native path and length validation before
+// anything is written.
 func TestQueryBatchHelper(t *testing.T) {
 	sk := mustNew(t, "countmedian", repro.WithDim(500), repro.WithWords(32), repro.WithDepth(5))
 	fill(sk, 5000, 31)
@@ -182,16 +177,6 @@ func TestQueryBatchHelper(t *testing.T) {
 	}
 	if err := repro.QueryBatch(sk, []int{1, 2}, make([]float64, 1)); err == nil {
 		t.Fatal("length mismatch should return an error")
-	}
-
-	f := &foreignSketch{x: make([]float64, 10)}
-	f.x[2], f.x[9] = 3, 4
-	fout := make([]float64, 3)
-	if err := repro.QueryBatch(f, []int{2, 2, 9}, fout); err != nil {
-		t.Fatal(err)
-	}
-	if fout[0] != 3 || fout[1] != 3 || fout[2] != 4 {
-		t.Fatalf("fallback loop answered %v", fout)
 	}
 }
 

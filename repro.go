@@ -12,7 +12,7 @@ import (
 )
 
 // Sketch is a summary of a frequency vector x ∈ R^n supporting point
-// updates and point queries — the protocol every algorithm in the
+// and batched updates and queries — the protocol every algorithm in the
 // paper shares (S(x) builds the summary, R recovers from it, §1).
 //
 // A Sketch produced by New may additionally satisfy Linear,
@@ -24,49 +24,29 @@ type Sketch interface {
 	Update(i int, delta float64)
 	// Query returns an estimate of x[i].
 	Query(i int) float64
+	// UpdateBatch applies x[idx[j]] += deltas[j] for every j and leaves
+	// exactly the state of the equivalent element-wise Update loop, at
+	// a fraction of the cost: row-major traversal keeps each counter
+	// row cache-hot and loads each row's hash coefficients once per
+	// batch instead of once per element. The two slices must have
+	// equal length and every index must be in [0, Dim()); the whole
+	// batch is validated before any counter moves, so a panic cannot
+	// leave the sketch partially updated.
+	UpdateBatch(idx []int, deltas []float64)
+	// QueryBatch writes an estimate of x[idx[j]] into out[j] for every
+	// j, bit-identical to the equivalent element-wise Query loop: the
+	// same row-major traversal gathers every element's buckets with one
+	// coefficient load per row, then the per-element median, minimum or
+	// bias correction runs over the gathered values. The two slices
+	// must have equal length and every index must be in [0, Dim()); the
+	// whole batch is validated before out is written.
+	QueryBatch(idx []int, out []float64)
 	// Dim returns n, the dimension of the summarized vector.
 	Dim() int
 	// Words returns the sketch size in 64-bit words.
 	Words() int
 	// Algo returns the canonical algorithm name, e.g. "l2sr".
 	Algo() string
-}
-
-// BatchUpdater is a sketch with a native batched ingestion path:
-// UpdateBatch applies x[idx[j]] += deltas[j] for every j and leaves
-// exactly the state of the equivalent element-wise Update loop, at a
-// fraction of the cost (row-major traversal keeps each counter row
-// cache-hot and loads each row's hash coefficients once per batch
-// instead of once per element). Every sketch New constructs implements
-// it; the package-level UpdateBatch helper falls back to an update
-// loop for foreign Sketch implementations without the capability.
-type BatchUpdater interface {
-	Sketch
-	// UpdateBatch applies x[idx[j]] += deltas[j] for every j. The two
-	// slices must have equal length and every index must be in
-	// [0, Dim()); the whole batch is validated before any counter
-	// moves, so a panic cannot leave the sketch partially updated.
-	UpdateBatch(idx []int, deltas []float64)
-}
-
-// BatchQuerier is the read-side twin of BatchUpdater: a sketch with a
-// native batched query path. QueryBatch writes an estimate of
-// x[idx[j]] into out[j] for every j, bit-identical to the equivalent
-// element-wise Query loop, at a fraction of the cost — the same
-// row-major traversal as batched ingestion loads each row's hash (and
-// sign) coefficients once per batch and keeps the counter rows
-// cache-hot while every element's buckets are gathered; the
-// per-element median/min/bias-correction step then runs over the
-// gathered values. Every sketch New constructs implements it; the
-// package-level QueryBatch helper falls back to a Query loop for
-// foreign Sketch implementations without the capability.
-type BatchQuerier interface {
-	Sketch
-	// QueryBatch writes an estimate of x[idx[j]] into out[j] for every
-	// j. The two slices must have equal length and every index must be
-	// in [0, Dim()); the whole batch is validated before out is
-	// written.
-	QueryBatch(idx []int, out []float64)
 }
 
 // Linear is a sketch with the linearity property Φ(x+y) = Φx + Φy,
@@ -225,8 +205,7 @@ func New(algo string, opts ...Option) (Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner, err := registry.SafeNewBackend(e.Name, cfg.shape(),
-		sketch.Backend{Kind: cfg.backend})
+	inner, err := registry.SafeNewBackend(e.Name, cfg.shape(), cfg.backend)
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
@@ -270,18 +249,10 @@ const recoverChunk = 1024
 
 // Recover reconstructs the full estimate vector x̂ by querying every
 // coordinate — the recovery phase R(Φx) of §1. It runs through the
-// sketch's batched query path when there is one; QueryBatch is
-// bit-identical to the Query loop, so the result never depends on the
-// path taken.
+// sketch's batched query path in chunks; QueryBatch is bit-identical
+// to the Query loop.
 func Recover(s Sketch) []float64 {
 	out := make([]float64, s.Dim())
-	bq, ok := s.(BatchQuerier)
-	if !ok {
-		for i := range out {
-			out[i] = s.Query(i)
-		}
-		return out
-	}
 	idx := make([]int, recoverChunk)
 	for base := 0; base < len(out); base += recoverChunk {
 		m := recoverChunk
@@ -291,49 +262,34 @@ func Recover(s Sketch) []float64 {
 		for j := 0; j < m; j++ {
 			idx[j] = base + j
 		}
-		bq.QueryBatch(idx[:m], out[base:base+m])
+		s.QueryBatch(idx[:m], out[base:base+m])
 	}
 	return out
 }
 
-// UpdateBatch applies x[idx[j]] += deltas[j] for every j, using s's
-// native batched path when it has one (every sketch New constructs
-// does) and an element-wise update loop otherwise. A length mismatch
-// returns an error before any update is applied. This is the
-// high-throughput ingestion entry point: amortize per-element costs by
-// feeding elements in batches of a few hundred to a few thousand.
+// UpdateBatch is s.UpdateBatch with the length check as an error: a
+// mismatch returns ErrBadBatch before any update is applied. This is
+// the high-throughput ingestion entry point: amortize per-element
+// costs by feeding elements in batches of a few hundred to a few
+// thousand.
 func UpdateBatch(s Sketch, idx []int, deltas []float64) error {
 	if len(idx) != len(deltas) {
 		return fmt.Errorf("%w: %d indexes, %d deltas", ErrBadBatch, len(idx), len(deltas))
 	}
-	if b, ok := s.(BatchUpdater); ok {
-		b.UpdateBatch(idx, deltas)
-		return nil
-	}
-	for j, i := range idx {
-		s.Update(i, deltas[j])
-	}
+	s.UpdateBatch(idx, deltas)
 	return nil
 }
 
-// QueryBatch writes an estimate of x[idx[j]] into out[j] for every j,
-// using s's native batched query path when it has one (every sketch
-// New constructs does) and an element-wise Query loop otherwise — the
-// two are bit-identical. A length mismatch returns an error before
-// anything is written. This is the high-throughput serving entry
-// point: amortize per-query hash-coefficient loads by asking for
-// estimates in batches of a few hundred to a few thousand.
+// QueryBatch is s.QueryBatch with the length check as an error: a
+// mismatch returns ErrBadBatch before anything is written. This is the
+// high-throughput serving entry point: amortize per-query
+// hash-coefficient loads by asking for estimates in batches of a few
+// hundred to a few thousand.
 func QueryBatch(s Sketch, idx []int, out []float64) error {
 	if len(idx) != len(out) {
 		return fmt.Errorf("%w: %d indexes, %d outputs", ErrBadBatch, len(idx), len(out))
 	}
-	if b, ok := s.(BatchQuerier); ok {
-		b.QueryBatch(idx, out)
-		return nil
-	}
-	for j, i := range idx {
-		out[j] = s.Query(i)
-	}
+	s.QueryBatch(idx, out)
 	return nil
 }
 

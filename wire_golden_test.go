@@ -14,18 +14,27 @@ package repro_test
 //     layout — kinds, section framing, metadata — shows up as a byte
 //     diff instead of a silent compatibility break.
 //
+//   - testdata/wire/v2/aligned/<algo>.golden are aligned checkpoint
+//     files, the 3-section layout (descriptor, zero pad, state) that
+//     earlier builds' file writer produced so the state payload began
+//     8-aligned. No code writes them any more; like v1, they must
+//     never change and must keep decoding forever.
+//
 // After an *intentional* format change, regenerate with
 //
 //	go test -run TestGolden -update-golden .
 //
-// and review the diff like any other. v1 files must never change.
+// and review the diff like any other. v1 and aligned files must never
+// change.
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro"
@@ -287,6 +296,51 @@ func TestGoldenWireFormatLoads(t *testing.T) {
 	}
 }
 
+// alignedGoldenAlgos are the table sketches whose aligned checkpoint
+// files are frozen under testdata/wire/v2/aligned, each holding the
+// goldenSketch state.
+var alignedGoldenAlgos = []string{"countmin", "countmedian", "countsketch", "cmcu", "cmlcu", "dengrafiei"}
+
+// Aligned files from earlier builds must load through every restore
+// path — Decode, Unmarshal, and DecodeWith onto the compressed plane
+// where the algorithm has one — and answer every coordinate
+// bit-identically to goldenSketch.
+func TestGoldenAlignedFilesDecode(t *testing.T) {
+	for _, algo := range alignedGoldenAlgos {
+		t.Run(algo, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", "wire", "v2", "aligned", algo+".golden"))
+			if err != nil {
+				t.Fatalf("missing aligned golden file: %v", err)
+			}
+			restored := map[string]func() (repro.Sketch, error){
+				"Decode":    func() (repro.Sketch, error) { return repro.Decode(bytes.NewReader(data)) },
+				"Unmarshal": func() (repro.Sketch, error) { return repro.Unmarshal(data) },
+			}
+			if slices.Contains(repro.Backends(algo), repro.BackendCompressed) {
+				restored["DecodeWith/compressed"] = func() (repro.Sketch, error) {
+					return repro.DecodeWith(data, repro.BackendCompressed)
+				}
+			}
+			want := repro.Recover(goldenSketch(t, algo))
+			for path, restore := range restored {
+				sk, err := restore()
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				if sk.Algo() != algo {
+					t.Fatalf("%s: algo %q", path, sk.Algo())
+				}
+				got := repro.Recover(sk)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: coordinate %d: %v, want %v", path, i, got[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
 // The composite golden vectors must restore into working structures.
 func TestGoldenCheckpointsRestore(t *testing.T) {
 	read := func(t *testing.T, name string) []byte {
@@ -378,4 +432,9 @@ func TestGoldenFilesComplete(t *testing.T) {
 		v2Files = append(v2Files, fmt.Sprintf("%s-tabulation.golden", algo))
 	}
 	check(filepath.Join("testdata", "wire", "v2"), v2Files)
+	var alignedFiles []string
+	for _, algo := range alignedGoldenAlgos {
+		alignedFiles = append(alignedFiles, fmt.Sprintf("%s.golden", algo))
+	}
+	check(filepath.Join("testdata", "wire", "v2", "aligned"), alignedFiles)
 }
